@@ -4,7 +4,8 @@ experimental bounds, and the verification-suite runner.
 Output is deterministic: identical configurations produce byte-identical
 files (fixed 17-significant-digit formatting, '#'-prefixed metadata with the
 effective configuration echoed as JSON).  Exit codes: 0 success, 2 usage or
-validation, 3 I/O failure, 4 numeric out-of-regime.
+validation, 3 I/O failure, 4 out of regime or a numerical procedure that
+failed (NumericError).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    NumericError,
     OutOfRegimeError,
     ParameterDomainError,
     QuantumNumberError,
@@ -34,6 +36,8 @@ from .model import (
     PUBLISHED_THETA_BOUND,
     deformation_bounds,
     derive_params,
+    level_radicand,
+    level_shift_first_order,
 )
 from .polynomials import gauss_jacobi_rule
 from .tables import SpectrumTable, format_number
@@ -133,12 +137,13 @@ def _emit(table: SpectrumTable, run: RunConfig, out: str | None) -> None:
 
 
 def _levels(run: RunConfig):
+    """Integer arrays (n, l) of the table rows: l = 0 in 1D, every l of n's parity otherwise."""
     if run.n_max < run.n_min or run.n_max < 0:
         raise QuantumNumberError(f"empty quantum-number range [{run.n_min}, {run.n_max}]")
-    ns = range(max(run.n_min, 0), run.n_max + 1)
     if run.dim == 1:
-        return [(n, 0) for n in ns]
-    return [(n, l) for n in ns for l in range(n % 2, n + 1, 2)]
+        ns = np.arange(max(run.n_min, 0), run.n_max + 1)
+        return ns, np.zeros_like(ns)
+    return snd.level_pairs(max(run.n_min, 0), run.n_max)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -147,36 +152,28 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     params = derive_params(run.alpha1, run.alpha2, cfg)
 
     if args.figure1:
-        pairs = [(0.0, 0.0), (run.alpha1, run.alpha2)]
+        deformations = [derive_params(0.0, 0.0, cfg), params]
         # the preset's point is the large-n saturation, so reach at least 1e4
         # unless the range was set explicitly
         n_max = run.n_max if args.n_max is not None else max(run.n_max, 10_000)
-        grid = sorted({int(v) for v in np.geomspace(1, max(n_max, 2), 60)})
-        columns = ["n"] + [f"dE[alpha1={a1:g},alpha2={a2:g}]" for a1, a2 in pairs]
-        rows = []
-        for n in grid:
-            row = [n]
-            for a1, a2 in pairs:
-                p = derive_params(a1, a2, cfg)
-                row.append(s1.energy_1d(n + 1, p, cfg) - s1.energy_1d(n, p, cfg))
-            rows.append(tuple(row))
+        grid = np.array(sorted({int(v) for v in np.geomspace(1, max(n_max, 2), 60)}))
+        columns = ["n"] + [f"dE[alpha1={p.alpha1:g},alpha2={p.alpha2:g}]" for p in deformations]
+        spacings = [(_energies(grid + 1, 0, 1, p, cfg) - _energies(grid, 0, 1, p, cfg)).tolist()
+                    for p in deformations]
+        rows = list(zip(grid.tolist(), *spacings))
         meta = {"kind": "spectrum-spacing", "units": run.units,
-                "asymptotes": {f"{a1:g},{a2:g}": s1.spacing_asymptote(derive_params(a1, a2, cfg), cfg) for a1, a2 in pairs}}
+                "asymptotes": {f"{p.alpha1:g},{p.alpha2:g}": s1.spacing_asymptote(p, cfg) for p in deformations}}
         _emit(SpectrumTable(columns=columns, rows=rows, meta=meta), run, run.out)
         return 0
 
-    rows = []
+    ns, ls = _levels(run)
     step = 1 if run.dim == 1 else 2
-    for n, l in _levels(run):
-        if run.dim == 1:
-            energy = s1.energy_1d(n, params, cfg)
-            nxt = s1.energy_1d(n + step, params, cfg)
-            _, dev = s1.energy_deviation_first_order(n, params, cfg)
-        else:
-            energy = snd.energy_nd(n, l, run.dim, params, cfg)
-            nxt = snd.energy_nd(n + step, l, run.dim, params, cfg)
-            _, dev = snd.energy_deviation_first_order_nd(n, l, run.dim, params, cfg)
-        rows.append((n, l, run.dim, energy, nxt - energy, dev))
+    energy = _energies(ns, ls, run.dim, params, cfg)
+    spacing = _energies(ns + step, ls, run.dim, params, cfg) - energy
+    _, dev = level_shift_first_order(ns, ls, run.dim, params, cfg)
+    # Python scalars, not NumPy ones: json.dumps rejects np.int64
+    rows = list(zip(ns.tolist(), ls.tolist(), [run.dim] * ns.size,
+                    energy.tolist(), spacing.tolist(), dev.tolist()))
     meta = {
         "kind": "spectrum",
         "units": run.units,
@@ -191,6 +188,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     )
     _emit(table, run, run.out)
     return 0
+
+
+def _energies(ns, ls, dim: int, params, cfg: OscillatorConfig) -> np.ndarray:
+    """Positive-branch energies of the levels (ns, ls), one array call."""
+    return cfg.mc2 * np.sqrt(level_radicand(ns, ls, dim, params, cfg))
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
@@ -373,14 +375,10 @@ def _suite_orthonormality() -> list[dict]:
     worst = 0.0
     for nr in range(5):
         for ms in range(nr, 5):
-            g = _nd_inner(nr, ms, 1, 3, params, cfg)
+            g = snd.radial_inner_product(nr, ms, 1, 3, params, cfg)
             worst = max(worst, abs(g - (1.0 if nr == ms else 0.0)))
     checks.append({"name": "gram-nd", "passed": worst <= 1e-8, "detail": f"worst |G - I| {worst:.3e}"})
     return checks
-
-
-def _nd_inner(n1: int, n2: int, l: int, dim: int, params, cfg) -> float:
-    return snd.radial_inner_product(n1, n2, l, dim, params, cfg)
 
 
 def _suite_limits() -> list[dict]:
@@ -541,7 +539,7 @@ def main(argv=None) -> int:
             UnitSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except OutOfRegimeError as exc:
+    except (OutOfRegimeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return REGIME_ERROR
     except OSError as exc:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import ParameterDomainError, UnitSystemError
 
 # CODATA 2018 values, SI
@@ -44,9 +46,9 @@ class OscillatorConfig:
     units: str = NATURAL
 
     def __post_init__(self):
-        if min(self.m, self.omega, self.c, self.hbar) <= 0:
-            raise ParameterDomainError("m, omega, c and hbar must all be positive")
-        if int(self.dim) != self.dim or self.dim < 1:
+        if not all(math.isfinite(x) and x > 0 for x in (self.m, self.omega, self.c, self.hbar)):
+            raise ParameterDomainError("m, omega, c and hbar must all be finite and positive")
+        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 1:
             raise ParameterDomainError(f"dim must be a positive integer, got {self.dim!r}")
         if self.units not in (NATURAL, SI):
             raise ParameterDomainError(f"unknown unit system {self.units!r}")
@@ -94,9 +96,9 @@ def derive_params(alpha1: float, alpha2: float, cfg: OscillatorConfig) -> Deform
     k_squared = hbar^2 (alpha1 + m^2 w^2 alpha2) is computed directly so it is
     valid at alpha1 = 0; the gamma route exists only as a cross-check identity.
     """
-    if alpha1 < 0 or alpha2 < 0:
+    if not all(math.isfinite(a) and a >= 0 for a in (alpha1, alpha2)):
         raise ParameterDomainError(
-            f"deformation parameters must be nonnegative, got ({alpha1}, {alpha2})"
+            f"deformation parameters must be finite and nonnegative, got ({alpha1}, {alpha2})"
         )
     mw2 = (cfg.m * cfg.omega) ** 2
     k_squared = cfg.hbar**2 * (alpha1 + mw2 * alpha2)
@@ -118,6 +120,40 @@ def derive_params(alpha1: float, alpha2: float, cfg: OscillatorConfig) -> Deform
         lam=lam,
         gamma_abs_squared=gamma_abs_squared,
     )
+
+
+def level_coefficients(params: DeformationParams, cfg: OscillatorConfig) -> tuple[float, float]:
+    """(2 hbar w / m c^2, k^2 / m^2 c^2): the coefficients of n and of the bracket in the level radicand."""
+    return 2.0 * cfg.omega * cfg.hbar / cfg.mc2, params.k_squared / (cfg.m * cfg.c) ** 2
+
+
+def _bracket(n, l, dim):
+    """n^2 + (D - 1) n - l (l + D - 2); exactly n^2 at D = 1, l = 0.
+
+    n^2 is formed in floating point: an int64 n * n wraps above n ~ 3e9.
+    """
+    return np.square(n, dtype=float) + (dim - 1.0) * n - l * (l + dim - 2.0)
+
+
+def level_radicand(n, l, dim: int, params: DeformationParams, cfg: OscillatorConfig):
+    """(E_{n,l} / m c^2)^2 = 1 + (2 hbar w / m c^2) n + (k^2 / m^2 c^2) [n^2 + (D - 1) n - l (l + D - 2)].
+
+    The one place the spectrum is written; 1D is D = 1, l = 0.  ``n`` and
+    ``l`` are scalars or NumPy arrays and are not checked.
+    """
+    b, a3 = level_coefficients(params, cfg)
+    return 1.0 + b * n + a3 * _bracket(n, l, dim)
+
+
+def level_shift_first_order(n, l, dim: int, params: DeformationParams, cfg: OscillatorConfig):
+    """(undeformed energy m c^2 sqrt(1 + 2 w hbar n / m c^2), first-order-in-theta shift).
+
+    shift = m c^2 (k^2 / m^2 c^2) [bracket] / (2 sqrt(1 + 2 w hbar n / m c^2)), with
+    k^2 / m^2 c^2 = hbar^2 w^2 theta; unchecked scalars or arrays like ``level_radicand``.
+    """
+    mc2 = cfg.mc2
+    root = np.sqrt(1.0 + 2.0 * cfg.omega * cfg.hbar * n / mc2)
+    return mc2 * root, mc2 * level_coefficients(params, cfg)[1] * _bracket(n, l, dim) / (2.0 * root)
 
 
 def min_uncertainties(params: DeformationParams, cfg: OscillatorConfig) -> tuple[float, float]:

@@ -131,6 +131,21 @@ def jacobi_norm_log(n: int, a: float, b: float) -> float:
     )
 
 
+def log_term_sum(pairs) -> float:
+    """Sum of coefficient * term over (coefficient, log-term) pairs.
+
+    Coefficients of equal terms are added *before* they multiply the term,
+    so an identity whose coefficients cancel to zero yields a residual that
+    measures genuine cancellation instead of the rounding noise of products
+    with astronomically large log-gamma values; that keeps the normalization
+    identity checks meaningful up to exponents ~1e8.
+    """
+    coeff: dict = {}
+    for c, term in pairs:
+        coeff[term] = coeff.get(term, 0.0) + c
+    return sum(c * term for term, c in coeff.items())
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Jacobi nodes/weights for the weight (1-y)^a (1+y)^b on [-1, 1].

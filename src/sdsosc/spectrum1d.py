@@ -20,7 +20,7 @@ from .errors import (
     UndeformedLimitError,
     UnsupportedRepresentationError,
 )
-from .model import DeformationParams, OscillatorConfig
+from .model import DeformationParams, OscillatorConfig, level_radicand, level_shift_first_order
 from .polynomials import (
     LN2,
     LN2PI,
@@ -30,6 +30,7 @@ from .polynomials import (
     gegenbauer_norm_log,
     hermite,
     log_gamma,
+    log_term_sum,
 )
 
 
@@ -57,9 +58,7 @@ def energy_1d(n: int, params: DeformationParams, cfg: OscillatorConfig, branch: 
     """
     _check_level(n)
     _check_branch(branch)
-    mc2 = cfg.mc2
-    radicand = 1.0 + (2.0 * cfg.omega * cfg.hbar / mc2) * n + (params.k_squared / (cfg.m * cfg.c) ** 2) * (n * n)
-    return branch * mc2 * math.sqrt(radicand)
+    return branch * cfg.mc2 * math.sqrt(level_radicand(n, 0, 1, params, cfg))
 
 
 def energy_1d_oracle(n: int, params: DeformationParams, cfg: OscillatorConfig) -> float:
@@ -91,14 +90,13 @@ def energy_deviation_first_order(
 ) -> tuple[float, float]:
     """(undeformed energy, first-order-in-theta shift) for level n.
 
-    The shift is hbar^2 w^2 m c^2 n^2 theta / (2 sqrt(1 + 2 w hbar n / m c^2));
-    the pair sums to the exact energy up to O(theta^2).
+    The shift is hbar^2 w^2 m c^2 n^2 theta / (2 sqrt(1 + 2 w hbar n / m c^2)),
+    the D = 1, l = 0 case of ``level_shift_first_order``; the pair sums to the
+    exact energy up to O(theta^2).
     """
     _check_level(n)
-    mc2 = cfg.mc2
-    root = math.sqrt(1.0 + 2.0 * cfg.omega * cfg.hbar * n / mc2)
-    shift = (cfg.hbar * cfg.omega) ** 2 * mc2 * n * n * params.theta / (2.0 * root)
-    return mc2 * root, shift
+    e0, shift = level_shift_first_order(n, 0, 1, params, cfg)
+    return float(e0), float(shift)
 
 
 def energy_nonrelativistic(n: int, params: DeformationParams, cfg: OscillatorConfig) -> float:
@@ -223,37 +221,19 @@ def wavefunction_norm_1d(n: int, params: DeformationParams, cfg: OscillatorConfi
 def normalization_identity_residual(n: int, nu: float) -> float:
     """Log-space residual of L^2 * (closed-form weighted norm) / sqrt(alpha2) - identity.
 
-    Exactly zero in real arithmetic.  The coefficients multiplying each
-    distinct logarithm are accumulated numerically *before* the multiply, so
-    the result measures genuine cancellation instead of rounding noise from
-    astronomically large intermediate terms; that keeps the check meaningful
-    up to nu ~ 1e8 (alpha2 drops out and is not needed).
+    Exactly zero in real arithmetic; ``log_term_sum`` adds the coefficients
+    of each distinct logarithm before the multiply, which keeps the check
+    meaningful up to nu ~ 1e8 (alpha2 drops out and is not needed).
     """
-    coeff = {"ln2": 0.0, "lnpi": 0.0, "ln2pi": 0.0, "lg_np1": 0.0, "ln_nnu": 0.0, "lg_nu": 0.0, "lg_2nun": 0.0}
-    # squared normalization constant (alpha2 power cancels against the measure)
-    coeff["ln2"] += 2.0 * nu
-    coeff["ln2pi"] -= 1.0
-    coeff["lg_np1"] += 1.0
-    coeff["ln_nnu"] += 1.0
-    coeff["lg_nu"] += 2.0
-    coeff["lg_2nun"] -= 1.0
-    # closed-form weighted norm of the polynomial
-    coeff["lnpi"] += 1.0
-    coeff["ln2"] += 1.0 - 2.0 * nu
-    coeff["lg_2nun"] += 1.0
-    coeff["lg_np1"] -= 1.0
-    coeff["ln_nnu"] -= 1.0
-    coeff["lg_nu"] -= 2.0
-    values = {
-        "ln2": LN2,
-        "lnpi": LNPI,
-        "ln2pi": LN2PI,
-        "lg_np1": log_gamma(n + 1.0),
-        "ln_nnu": math.log(n + nu),
-        "lg_nu": log_gamma(nu),
-        "lg_2nun": log_gamma(2.0 * nu + n),
-    }
-    return sum(coeff[key] * values[key] for key in coeff)
+    lg_np1, ln_nnu = log_gamma(n + 1.0), math.log(n + nu)
+    lg_nu, lg_2nun = log_gamma(nu), log_gamma(2.0 * nu + n)
+    return log_term_sum([
+        # squared normalization constant (alpha2 power cancels against the measure;
+        # ln(2 pi) enters as ln 2 + ln pi so that only distinct logarithms carry coefficients)
+        (2.0 * nu, LN2), (-1.0, LN2), (-1.0, LNPI), (1.0, lg_np1), (1.0, ln_nnu), (2.0, lg_nu), (-1.0, lg_2nun),
+        # closed-form weighted norm of the polynomial
+        (1.0, LNPI), (1.0 - 2.0 * nu, LN2), (1.0, lg_2nun), (-1.0, lg_np1), (-1.0, ln_nnu), (-2.0, lg_nu),
+    ])
 
 
 def _check_level(n) -> None:

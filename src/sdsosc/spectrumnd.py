@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, QuantumNumberError
-from .model import DeformationParams, OscillatorConfig
-from .polynomials import LN2, jacobi, log_gamma
+from .model import DeformationParams, OscillatorConfig, level_radicand, level_shift_first_order
+from .polynomials import LN2, jacobi, log_gamma, log_term_sum
 from .spectrum1d import _check_branch, momentum_cutoff, nu_exponent
 from .tables import SpectrumTable
 
@@ -35,12 +35,6 @@ def radial_exponents(
     return mu, a, b
 
 
-def angular_momentum_squared(l: int, dim: int) -> float:
-    """Separation constant L^2 = l (l + D - 2)."""
-    _check_orbital(l, dim)
-    return float(l * (l + dim - 2))
-
-
 def energy_nd(
     n: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig, branch: int = +1
 ) -> float:
@@ -53,10 +47,7 @@ def energy_nd(
     """
     _check_pair(n, l, dim)
     _check_branch(branch)
-    mc2 = cfg.mc2
-    bracket = n * n + (dim - 1.0) * n - l * (l + dim - 2.0)
-    radicand = 1.0 + (2.0 * cfg.hbar * cfg.omega / mc2) * n + (params.k_squared / (cfg.m * cfg.c) ** 2) * bracket
-    return branch * mc2 * math.sqrt(radicand)
+    return branch * cfg.mc2 * math.sqrt(level_radicand(n, l, dim, params, cfg))
 
 
 def energy_nd_oracle(
@@ -87,11 +78,8 @@ def energy_deviation_first_order_nd(
     n^2 + (D - 1) n - l (l + D - 2) in place of n^2.
     """
     _check_pair(n, l, dim)
-    mc2 = cfg.mc2
-    root = math.sqrt(1.0 + 2.0 * cfg.omega * cfg.hbar * n / mc2)
-    bracket = n * n + (dim - 1.0) * n - l * (l + dim - 2.0)
-    shift = mc2 * (params.k_squared / (cfg.m * cfg.c) ** 2) * bracket / (2.0 * root)
-    return mc2 * root, shift
+    e0, shift = level_shift_first_order(n, l, dim, params, cfg)
+    return float(e0), float(shift)
 
 
 def log_norm_constant_nd(nr: int, l: int, dim: int, mu: float, alpha2: float) -> float:
@@ -242,51 +230,23 @@ def radial_norm(
 def radial_normalization_identity_residual(nr: int, l: int, dim: int, mu: float) -> float:
     """Log-space residual of N^2 * (measure constant) * (closed-form Jacobi norm) - 1.
 
-    Same per-factor coefficient aggregation as the 1D residual, so the check
-    stays meaningful for mu up to ~1e8; the alpha2 powers cancel exactly and
-    drop out.
+    Same coefficient-before-multiply aggregation as the 1D residual, so the
+    check stays meaningful for mu up to ~1e8; the alpha2 powers cancel
+    exactly and drop out.
     """
     a = mu - 0.5
     b = l - 1.0 + dim / 2.0
-    coeff = {
-        "ln2": 0.0,
-        "lnD": 0.0,
-        "ln_2nab": 0.0,
-        "lg_nr1": 0.0,
-        "lg_nab": 0.0,
-        "lg_na": 0.0,
-        "lg_nb": 0.0,
-    }
-    # squared normalization constant
-    coeff["ln2"] += 1.0
-    coeff["ln_2nab"] += 1.0
-    coeff["lg_nr1"] += 1.0
-    coeff["lg_nab"] += 1.0
-    coeff["lnD"] -= 1.0
-    coeff["lg_na"] -= 1.0
-    coeff["lg_nb"] -= 1.0
-    # substitution constant of the radial measure
-    coeff["lnD"] += 1.0
-    coeff["ln2"] += -2.0
-    coeff["ln2"] += -0.5 * (dim - 2.0)
-    coeff["ln2"] += 0.5 - mu - l
-    # closed-form weighted norm of the Jacobi polynomial
-    coeff["ln2"] += a + b + 1.0
-    coeff["ln_2nab"] -= 1.0
-    coeff["lg_na"] += 1.0
-    coeff["lg_nb"] += 1.0
-    coeff["lg_nr1"] -= 1.0
-    coeff["lg_nab"] -= 1.0
-    values = {
-        "ln2": LN2,
-        "lnD": math.log(dim),
-        "ln_2nab": math.log(2.0 * nr + a + b + 1.0),
-        "lg_nr1": log_gamma(nr + 1.0),
-        "lg_nab": log_gamma(nr + a + b + 1.0),
-        "lg_na": log_gamma(nr + a + 1.0),
-        "lg_nb": log_gamma(nr + b + 1.0),
-    }
-    return sum(coeff[key] * values[key] for key in coeff)
+    ln_d, ln_2nab = math.log(dim), math.log(2.0 * nr + a + b + 1.0)
+    lg_nr1, lg_nab = log_gamma(nr + 1.0), log_gamma(nr + a + b + 1.0)
+    lg_na, lg_nb = log_gamma(nr + a + 1.0), log_gamma(nr + b + 1.0)
+    return log_term_sum([
+        # squared normalization constant
+        (1.0, LN2), (1.0, ln_2nab), (1.0, lg_nr1), (1.0, lg_nab), (-1.0, ln_d), (-1.0, lg_na), (-1.0, lg_nb),
+        # substitution constant of the radial measure
+        (1.0, ln_d), (-2.0, LN2), (-0.5 * (dim - 2.0), LN2), (0.5 - mu - l, LN2),
+        # closed-form weighted norm of the Jacobi polynomial
+        (a + b + 1.0, LN2), (-1.0, ln_2nab), (1.0, lg_na), (1.0, lg_nb), (-1.0, lg_nr1), (-1.0, lg_nab),
+    ])
 
 
 def angular_degeneracy(l: int, dim: int) -> int:
@@ -303,6 +263,16 @@ def angular_degeneracy(l: int, dim: int) -> int:
     return first - second
 
 
+def level_pairs(n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer arrays (n, l) of every level with n_min <= n <= n_max and
+    l = n mod 2, n mod 2 + 2, ..., n, ordered by n, then l."""
+    ns = np.arange(n_min, n_max + 1)
+    counts = ns // 2 + 1
+    n = np.repeat(ns, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return n, n % 2 + 2 * (np.arange(n.size) - first)
+
+
 def degeneracy_table(
     n_max: int, dim: int, params: DeformationParams, cfg: OscillatorConfig
 ) -> SpectrumTable:
@@ -315,21 +285,20 @@ def degeneracy_table(
     """
     if n_max < 0:
         raise QuantumNumberError(f"n_max must be nonnegative, got {n_max}")
-    rows = []
-    energies = {}
-    for n in range(n_max + 1):
-        for l in range(n % 2, n + 1, 2):
-            e = energy_nd(n, l, dim, params, cfg)
-            g = angular_degeneracy(l, dim)
-            rows.append([n, l, dim, e, g])
-            key = round(e / cfg.mc2, 12)
-            energies[key] = energies.get(key, 0) + g
-    out = []
-    for n, l, d, e, g in rows:
-        out.append((n, l, d, e, g, energies[round(e / cfg.mc2, 12)]))
+    multiplicity = [angular_degeneracy(l, dim) for l in range(n_max + 1)]
+    ns, ls = level_pairs(0, n_max)
+    energies = (cfg.mc2 * np.sqrt(level_radicand(ns, ls, dim, params, cfg))).tolist()
+    # Python round, not np.round: the two round differently and regroup levels
+    keys = [round(e / cfg.mc2, 12) for e in energies]
+    gs = [multiplicity[l] for l in ls.tolist()]
+    sharing = {}
+    for key, g in zip(keys, gs):
+        sharing[key] = sharing.get(key, 0) + g
+    rows = [(n, l, dim, e, g, sharing[key])
+            for n, l, e, g, key in zip(ns.tolist(), ls.tolist(), energies, gs, keys)]
     return SpectrumTable(
         columns=("n", "l", "dim", "energy", "angular_multiplicity", "states_sharing_energy"),
-        rows=out,
+        rows=rows,
         meta={
             "alpha1": params.alpha1,
             "alpha2": params.alpha2,

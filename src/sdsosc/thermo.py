@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import OutOfRegimeError, NumericError, ParameterDomainError
-from .model import BOLTZMANN, DeformationParams, OscillatorConfig, NATURAL
+from .model import BOLTZMANN, DeformationParams, OscillatorConfig, NATURAL, level_coefficients
 from .parallel import parallel_map
 
 METHODS = ("direct", "highT", "em", "numeric-derivative")
@@ -59,15 +59,14 @@ def thermo_params(
     if kB is None:
         kB = 1.0 if cfg.units == NATURAL else BOLTZMANN
     dim = cfg.dim
-    mc2 = cfg.mc2
-    a3 = params.k_squared / (cfg.m * cfg.c) ** 2
-    a2 = 2.0 * cfg.omega * cfg.hbar / mc2 + a3 * (dim - 1.0)
+    b, a3 = level_coefficients(params, cfg)
+    a2 = b + a3 * (dim - 1.0)
     a1 = 1.0 - a3 * l * (l + dim - 2.0)
     if a1 <= 0.0:
         raise ParameterDomainError(
             f"ground coefficient a1 = {a1} <= 0 (deformation too large for l = {l})"
         )
-    d0 = 0.5 * (dim - 1.0) * cfg.hbar * cfg.omega * mc2
+    d0 = 0.5 * (dim - 1.0) * cfg.hbar * cfg.omega * cfg.mc2
     return ThermoParams(a1=a1, a2=a2, a3=a3, l=int(l), dim=dim, kB=kB, theta=params.theta, d0=d0)
 
 

@@ -77,10 +77,11 @@ class TestSpectrumCommand:
         assert undeformed[-1] < 0.01  # collapsing spacing without deformation
 
     def test_json_format(self, capsys):
-        code, out, _ = run(capsys, "spectrum", "--n-max", "3", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["columns"][0] == "n" and len(payload["rows"]) == 4
+        for extra, n_rows in (((), 4), (("--dim", "3"), 6)):
+            code, out, _ = run(capsys, "spectrum", "--n-max", "3", "--format", "json", *extra)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["columns"][0] == "n" and len(payload["rows"]) == n_rows
 
 
 class TestWavefunctionCommand:
@@ -206,3 +207,18 @@ class TestExitCodes:
     def test_unreadable_config_is_usage_error(self, capsys):
         code = main(["spectrum", "--config", "/nonexistent-dir/cfg.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        *[["spectrum", f"{flag}={value}", "--n-max", "2"]
+          for flag in ("--alpha1", "--alpha2") for value in ("nan", "inf", "-inf")],
+        ["wavefunction", "--n", "0", "--alpha2", "nan"],
+        ["spectrum", "--units", "si", "--m", "nan"],
+    ])
+    def test_nonfinite_parameter_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "finite" in err and out == ""
+
+    def test_failed_quadrature_is_four(self, capsys, tmp_path):
+        code, _, err = run(capsys, "wavefunction", "--n", "50", "--l", "2", "--dim", "3",
+                           "--alpha1", "0", "--alpha2", "5e-4", "--out", str(tmp_path / "x.csv"))
+        assert code == 4 and "Gauss-Jacobi" in err

@@ -1,0 +1,52 @@
+"""Byte-identity of fixed natural-unit CLI outputs.
+
+Each case runs one CLI command and compares the sha256 of the file it writes
+with a recorded digest.  A refactor that keeps every output byte passes; any
+change of a digit, a row, a column or the metadata fails and has to be
+explained and re-recorded on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from sdsosc.cli import main
+
+GOLDEN = {
+    "spectrum-d1": (
+        ["spectrum", "--n-max", "3000"],
+        "b66ba13f8440ad7ba8f22988743af012d070bc7d1bb5f4dfc91e100532237c1d",
+    ),
+    "spectrum-d3": (
+        ["spectrum", "--dim", "3", "--n-max", "120"],
+        "c6f4d96333db4a04ede20acd4a43e31f14538ad17a64bc92148f6efaa4926eca",
+    ),
+    "spectrum-d5": (
+        ["spectrum", "--dim", "5", "--n-max", "120"],
+        "4a13f7612a424d29a17848a30769cdba79b7d05fff72a650de6000b3392dc5ea",
+    ),
+    "figure1": (
+        ["spectrum", "--figure1"],
+        "b25b0532e40c834c2a19433ef349d8dec09b72c3e4703ac5a3b4681b3b329f5f",
+    ),
+    "thermo-figure4": (
+        ["thermo", "--figure4", "--method", "all", "--t-min", "15", "--t-max", "16", "--t-count", "2"],
+        "ce844d1a12c2d1695b8b424dbfd45ecaf84aa5fba203a7cf740b3cb8c5601016",
+    ),
+    "wavefunction-n7": (
+        ["wavefunction", "--n", "7"],
+        "b445f1258f53361e5ae8a528286216e4f9b2cec346b07415f91c779cc1484457",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(name, tmp_path):
+    argv, digest = GOLDEN[name]
+    if argv[0] == "thermo":
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        written = tmp_path / "out.C.csv"
+    else:
+        written = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(written)]) == 0
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == digest

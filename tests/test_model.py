@@ -29,6 +29,13 @@ class TestOscillatorConfig:
         with pytest.raises(ParameterDomainError):
             OscillatorConfig(m=1.0, omega=1.0, c=1.0, hbar=1.0, dim=0)
 
+    @pytest.mark.parametrize("field", ["m", "omega", "c", "hbar", "dim"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, field, value):
+        kwargs = {"m": 1.0, "omega": 1.0, "c": 1.0, "hbar": 1.0, "dim": 1, field: value}
+        with pytest.raises(ParameterDomainError):
+            OscillatorConfig(**kwargs)
+
     def test_si_preset_constants(self):
         cfg = OscillatorConfig.si(m=9.1093837015e-31, omega=1e12)
         assert cfg.c == 299792458.0
@@ -65,6 +72,14 @@ class TestDeriveParams:
             derive_params(-1e-3, 0.0, natural)
         with pytest.raises(ParameterDomainError):
             derive_params(0.0, -1e-3, natural)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, natural, position, value):
+        alphas = [0.005, 0.005]
+        alphas[position] = value
+        with pytest.raises(ParameterDomainError):
+            derive_params(*alphas, natural)
 
     @given(a1=alphas, a2=alphas)
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import fd1, fd2, ode_residual_scale
 from sdsosc.errors import ParameterDomainError, QuantumNumberError, UnsupportedRepresentationError
-from sdsosc.model import OscillatorConfig, derive_params
+from sdsosc.model import OscillatorConfig, derive_params, level_radicand, level_shift_first_order
 from sdsosc.polynomials import jacobi
 from sdsosc.spectrum1d import energy_1d, nu_exponent, spacing_asymptote
 from sdsosc.spectrumnd import (
@@ -16,6 +18,7 @@ from sdsosc.spectrumnd import (
     energy_nd,
     energy_nd_oracle,
     radial_exponents,
+    radial_inner_product,
     radial_norm,
     radial_normalization_identity_residual,
     radial_wavefunction,
@@ -69,6 +72,28 @@ class TestEnergyNd:
             values = {energy_nd(n, l, 3, zero, natural3) for l in range(0, n + 1, 2)}
             assert len(values) == 1
             assert values.pop() == natural3.mc2 * math.sqrt(1.0 + 2.0 * n)
+
+    @given(
+        levels=st.lists(st.tuples(st.integers(0, 10**10), st.integers(0, 10**3)), min_size=1, max_size=8),
+        dim=st.integers(1, 12),
+        a1=st.floats(0.0, 0.1),
+        a2=st.floats(0.0, 0.1),
+        consts=st.tuples(*[st.floats(0.5, 3.0)] * 4),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_array_kernel_matches_scalar_calls(self, levels, dim, a1, a2, consts):
+        m, w, c, hbar = consts
+        cfg = OscillatorConfig(m=m, omega=w, c=c, hbar=hbar, dim=dim)
+        p = derive_params(a1, a2, cfg)
+        ns = np.array([2 * nr + l for nr, l in levels])
+        ls = np.array([l for _, l in levels])
+        energies = cfg.mc2 * np.sqrt(level_radicand(ns, ls, dim, p, cfg))
+        assert energies.tolist() == [energy_nd(n, l, dim, p, cfg) for n, l in zip(ns.tolist(), ls.tolist())]
+        shifts = level_shift_first_order(ns, ls, dim, p, cfg)[1]
+        assert shifts.tolist() == [energy_deviation_first_order_nd(n, l, dim, p, cfg)[1]
+                                   for n, l in zip(ns.tolist(), ls.tolist())]
+        energies_1d = cfg.mc2 * np.sqrt(level_radicand(ns, 0, 1, p, cfg))
+        assert energies_1d.tolist() == [energy_1d(n, p, cfg) for n in ns.tolist()]
 
     def test_planar_case_is_the_formula_specialization(self, params_half_percent):
         # D = 2: the level bracket reduces to n^2 + n - l^2
@@ -143,11 +168,9 @@ class TestRadialWavefunction:
         assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonality_in_radial_number(self, natural3, params_half_percent):
-        from sdsosc.cli import _nd_inner
-
         for nr in range(11):
             for ms in range(nr, 11):
-                g = _nd_inner(nr, ms, 1, 3, params_half_percent, natural3)
+                g = radial_inner_product(nr, ms, 1, 3, params_half_percent, natural3)
                 assert g == pytest.approx(1.0 if nr == ms else 0.0, abs=1e-8)
 
     def test_domain_errors(self, natural3, params_half_percent):
