@@ -73,6 +73,7 @@ from .thermo import (
     partition_direct,
     partition_em_series,
     partition_highT,
+    partition_moments,
     specific_heat,
     thermo_curve,
     thermo_params,

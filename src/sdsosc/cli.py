@@ -250,8 +250,10 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     run = build_run_config(args)
     figure = next((k for k in FIGURE_QUANTITY if getattr(args, f"figure{k}")), None)
     cfg = run.oscillator(dim=3 if figure else None)
-    if run.t_count < 2 or run.t_max <= run.t_min or run.t_min <= 0:
-        raise ParameterDomainError("temperature grid needs t_min > 0, t_max > t_min, t_count >= 2")
+    if run.t_count < 2 or not 0.0 < run.t_min < run.t_max < math.inf:
+        raise ParameterDomainError("temperature grid needs finite 0 < t_min < t_max and t_count >= 2")
+    if run.out is None:
+        raise ParameterDomainError("thermo writes one file per quantity; --out prefix is required")
     if run.t_scale == "log":
         grid = np.geomspace(run.t_min, run.t_max, run.t_count)
     elif run.t_scale == "linear":
@@ -273,9 +275,6 @@ def cmd_thermo(args: argparse.Namespace) -> int:
         tp = th.thermo_params(params, cfg, l=run.l)
         curves.append((theta, th.thermo_curve(grid, tp, cfg, methods=methods)))
 
-    if run.out is None:
-        raise ParameterDomainError("thermo writes one file per quantity; --out prefix is required")
-
     any_ok = False
     for q in quantities:
         columns = ["T"]
@@ -285,7 +284,7 @@ def cmd_thermo(args: argparse.Namespace) -> int:
                 columns.append(f"{q}[theta={theta:g}][{m}]")
                 series.append(curve.data[m][q])
                 columns.append(f"in_regime[theta={theta:g}][{m}]")
-                series.append(curve.flags[m].astype(int))
+                series.append([int(flag) for flag in curve.flags[m]])  # json rejects np.int64
         rows = [tuple([grid[i]] + [col[i] for col in series]) for i in range(grid.size)]
         any_ok = any_ok or any(
             bool(curve.flags[m][i]) and not math.isnan(curve.data[m][q][i])

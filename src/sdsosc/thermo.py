@@ -5,7 +5,8 @@ number (default l = 0) exactly as the level sum is defined; NO degeneracy
 weights are inserted.  Only positive-branch energies enter the Boltzmann sum.
 
 Three routes to Z cross-check one another: ``partition_direct`` (truncated sum
-with a certified tail bound; the ground truth), ``partition_em_series`` (the
+with a certified tail bound; the ground truth, whose ``partition_moments`` pass
+also gives U, C and S as exact canonical moments), ``partition_em_series`` (the
 sum-to-integral reduction evaluated as an asymptotic series with optimal
 truncation), and ``partition_highT`` (the first-order-in-theta closed form
 that F, U, C, S are derived from).
@@ -63,64 +64,104 @@ def thermo_params(
     a2 = b + a3 * (dim - 1.0)
     a1 = 1.0 - a3 * l * (l + dim - 2.0)
     if a1 <= 0.0:
-        raise ParameterDomainError(
-            f"ground coefficient a1 = {a1} <= 0 (deformation too large for l = {l})"
-        )
+        raise ParameterDomainError(f"ground coefficient a1 = {a1} <= 0 (deformation too large for l = {l})")
     d0 = 0.5 * (dim - 1.0) * cfg.hbar * cfg.omega * cfg.mc2
     return ThermoParams(a1=a1, a2=a2, a3=a3, l=int(l), dim=dim, kB=kB, theta=params.theta, d0=d0)
 
 
 def _check_temperature(t: float) -> None:
-    if t <= 0.0:
-        raise ParameterDomainError(f"temperature must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ParameterDomainError(f"temperature must be finite and positive, got {t}")
 
 
-def partition_direct(t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: float = 1e-10) -> float:
-    """Boltzmann sum over levels, truncated under a rigorous tail bound.
+class BoltzmannMoments(NamedTuple):
+    """Z, F, U, C/kB and S/kB of the level sum, with ``tails[k]`` bounding the omitted
+    sum_{n >= terms} dE_n^k exp(-beta dE_n), dE_n = (E_n - E_0) / m c^2."""
 
-    The summand is exp(-beta sqrt(a1 + a2 n + a3 n^2)), which is bounded by
-    both minorants sqrt(a3) n (geometric tail) and sqrt(a2 n) (dyadic-block
-    tail); the smaller of the two certified bounds is used, so tiny a3 does
-    not force the geometric route's enormous cutoffs.  Summation stops once
-    the bound drops under tol times the partial sum.
+    z: float
+    f: float
+    u: float
+    c: float
+    s: float
+    tails: tuple
+    terms: int
+
+
+def partition_moments(t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: float = 1e-10) -> BoltzmannMoments:
+    """Exact canonical moments from one pass for s_k = sum_n dE_n^k exp(-beta dE_n), k = 0, 1, 2.
+
+    ln Z = ln s0 - beta e0 (F stays finite where Z underflows), U = m c^2 (e0 + s1/s0),
+    C/kB = beta^2 Var dE, S/kB = ln Z + U / kB T; beta = m c^2 / kB T, e_n = E_n / m c^2
+    = sqrt(a1 + a2 n + a3 n^2) and dE_n = (a2 n + a3 n^2) / (e_n + e0).  Summation stops
+    once every tail bound is below tol * s_k.  g_k(x) = x^k exp(-beta x) decreases
+    for x >= k / beta, so if L(n) <= dE_n increases and beta L(N) >= k, each term
+    with n >= N is at most g_k(L(n)).  The smaller of two such tail bounds is used:
+    - geometric (a3 > 0): e_n >= sqrt(a3) n, L(n) = sqrt(a3) n - e0, g_k(L(n)) <=
+      a3^(k/2) n^k exp(beta e0) q^n, q = exp(-beta sqrt(a3)).  With r = 1/(1 - q),
+      sum_{n>=N} n^k q^n = q^N P_k for P_0 = r, P_1 = N r + q r^2 and
+      P_2 = N^2 r + 2 N q r^2 + q (1 + q) r^3: tail <= a3^(k/2) exp(-beta L(N)) P_k.
+    - dyadic: e_n >= sqrt(a1 + a2 n), L(n) = sqrt(a1 + a2 n) - e0 is concave, L(0) = 0.
+      On each block [m, 2m), m = 2^j N, terms are at most g_k(L(m)), so tail <=
+      sum_j m g_k(L(m)).  As L(2m) <= 2 L(m), block j + 1 over block j is at most
+      rho_j = 2^(k+1) exp(-beta h(m)), h(m) = L(2m) - L(m) increasing: once
+      rho_j <= 1/2 the blocks after j add at most block j.
     """
     _check_temperature(t)
-    if tol <= 0.0:
-        raise ParameterDomainError("tol must be positive")
+    if not tol > 0.0:
+        raise ParameterDomainError(f"tol must be positive, got {tol}")
     beta = cfg.mc2 / (tp.kB * t)
-    total = 0.0
-    start = 0
-    block = 8192
-    max_n = 1 << 34
+    if not math.isfinite(beta * beta):
+        raise ParameterDomainError(f"temperature {t} is too small: (m c^2 / kB T)^2 overflows")
+    e0, s0, s1, s2 = math.sqrt(tp.a1), 0.0, 0.0, 0.0
+    start, block, max_n = 0, 8192, 1 << 34
     while start < max_n:
-        ns = np.arange(start, start + block, dtype=float)
-        total += float(np.sum(np.exp(-beta * np.sqrt(tp.a1 + tp.a2 * ns + tp.a3 * ns * ns))))
-        start += block
-        block = min(2 * block, 1 << 21)
-        tail = math.inf
-        if tp.a3 > 0.0:
-            c = beta * math.sqrt(tp.a3)
-            tail = math.exp(-c * start) / (-math.expm1(-c))
-        if tp.a2 > 0.0:
-            tail = min(tail, _dyadic_tail(start, beta, tp.a1, tp.a2))
-        if tail <= tol * total:
-            return total
+        w = np.arange(start, start + block, dtype=float)  # two block buffers, reused in place
+        de = (w * tp.a3 + tp.a2) * w
+        np.sqrt(np.add(de, tp.a1, out=w), out=w)
+        w += e0
+        de /= w
+        np.exp(np.multiply(de, -beta, out=w), out=w)
+        s0 += float(w.sum())
+        w *= de
+        s1 += float(w.sum())
+        w *= de
+        s2 += float(w.sum())
+        start, block = start + block, min(2 * block, 1 << 20)
+        tails = tuple(_moment_tail(k, start, beta, e0, tp) for k in range(3))
+        if all(tail <= tol * s for tail, s in zip(tails, (s0, s1, s2))):
+            mean, log_s0 = s1 / s0, math.log(s0)
+            return BoltzmannMoments(s0 * math.exp(-beta * e0), cfg.mc2 * e0 - tp.kB * t * log_s0,
+                                    cfg.mc2 * (e0 + mean), beta * beta * (s2 / s0 - mean * mean),
+                                    log_s0 + beta * mean, tails, start)
     raise NumericError(f"partition sum did not certify convergence within {max_n} terms")
 
 
-def _dyadic_tail(n0: int, beta: float, a1: float, a2: float) -> float:
-    """Upper bound on sum_{n >= n0} exp(-beta sqrt(a1 + a2 n)) by dyadic blocks."""
-    bound = 0.0
-    width = float(n0)
-    left = float(n0)
-    for _ in range(200):
-        term = width * math.exp(-beta * math.sqrt(a1 + a2 * left))
+def _moment_tail(k: int, n0: int, beta: float, e0: float, tp: ThermoParams) -> float:
+    """Upper bound on sum_{n >= n0} dE_n^k exp(-beta dE_n); proof in ``partition_moments``."""
+    tail = math.inf
+    c = beta * math.sqrt(tp.a3)
+    if c > 0.0 and c * n0 - beta * e0 >= k:  # beta L(N) >= k for the geometric minorant
+        q, r = math.exp(-c), -1.0 / math.expm1(-c)
+        poly = (r, n0 * r + q * r * r, n0 * n0 * r + 2.0 * n0 * q * r * r + q * (1.0 + q) * r**3)[k]
+        tail = tp.a3 ** (0.5 * k) * math.exp(beta * e0 - c * n0) * poly
+
+    def dyadic(m: float) -> float:
+        return tp.a2 * m / (math.sqrt(tp.a1 + tp.a2 * m) + e0)
+
+    m, bound = float(n0), 0.0
+    while beta * dyadic(m) >= k and m < 1e300:
+        low, high = dyadic(m), dyadic(2.0 * m)
+        term = m * low**k * math.exp(-beta * low)
         bound += term
-        if term < 1e-18 * max(bound, 1e-300):
-            break
-        left *= 2.0
-        width = left
-    return bound
+        if 2.0 ** (k + 1) * math.exp(-beta * (high - low)) <= 0.5:
+            return min(tail, bound + term)
+        m *= 2.0
+    return tail
+
+
+def partition_direct(t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: float = 1e-10) -> float:
+    """Boltzmann sum over levels under a rigorous tail bound (``partition_moments``); the ground truth."""
+    return partition_moments(t, tp, cfg, tol).z
 
 
 class HighTPartition(NamedTuple):
@@ -151,9 +192,7 @@ class EmSeriesResult(NamedTuple):
     terms_used: int
 
 
-def partition_em_series(
-    t: float, tp: ThermoParams, cfg: OscillatorConfig, n_terms: int = 24
-) -> EmSeriesResult:
+def partition_em_series(t: float, tp: ThermoParams, cfg: OscillatorConfig, n_terms: int = 24) -> EmSeriesResult:
     """Sum-to-integral route evaluated as an asymptotic series in sigma.
 
     sigma = (kB T / m c^2)^2 * 4 a3 / (a2^2 - 4 a1 a3).  Term n carries
@@ -180,18 +219,13 @@ def partition_em_series(
     if 3.0 * sigma >= 1.0:
         raise OutOfRegimeError(f"sigma = {sigma}: first correction already diverging")
     prefactor = 2.0 * (x / mc2) ** 2 / math.sqrt(disc)
-    term = 1.0
-    total = 0.0
-    used = 0
-    omitted = 0.0
-    for k in range(n_terms):
-        total += term if k % 2 == 0 else -term
-        used += 1
-        nxt = term * (2.0 * k + 1.0) * (2.0 * k + 3.0) * sigma
-        if nxt >= term or used >= n_terms:
-            omitted = nxt
+    term, total = 1.0, 0.0
+    for used in range(1, n_terms + 1):
+        total += term if used % 2 == 1 else -term
+        omitted = term * (2.0 * used - 1.0) * (2.0 * used + 1.0) * sigma
+        if omitted >= term:
             break
-        term = nxt
+        term = omitted
     value = prefactor * total
     # boundary pieces dropped by the high-temperature reduction
     beta = mc2 / x
@@ -248,45 +282,29 @@ def entropy(t: float, tp: ThermoParams, cfg: OscillatorConfig) -> float:
 
     S/kB = 2 (1 - theta (3 x^2 + delta)) / (1 - theta delta) + ln Z.
     """
-    _check_temperature(t)
     x = tp.kB * t
     delta = tp.delta(t)
-    td = tp.theta * delta
-    if td >= 1.0:
-        raise OutOfRegimeError(f"theta * delta = {td} >= 1")
-    z = partition_highT(t, tp, cfg).value
-    return 2.0 * (1.0 - tp.theta * (3.0 * x * x + delta)) / (1.0 - td) + math.log(z)
+    z = partition_highT(t, tp, cfg).value  # raises OutOfRegimeError once theta delta >= 1
+    return 2.0 * (1.0 - tp.theta * (3.0 * x * x + delta)) / (1.0 - tp.theta * delta) + math.log(z)
 
 
-def _log_z(kind: str, t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: float) -> float:
-    if kind == "direct":
-        return math.log(partition_direct(t, tp, cfg, tol))
-    if kind == "em":
-        return math.log(partition_em_series(t, tp, cfg).value)
-    return math.log(partition_highT(t, tp, cfg).value)
-
-
-def _numeric_ucs(kind: str, t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: float = 1e-10):
+def _numeric_ucs(kind: str, t: float, tp: ThermoParams, cfg: OscillatorConfig):
     """(U, C/kB, S/kB) from five-point finite differences of ln Z.
 
     Centered stencils at h = 1e-4 T combined with an h/2 pass by Richardson
     extrapolation, so the residue of the closed forms is measured well below
     the tolerance the cross-check cares about.
     """
+    partition = partition_em_series if kind == "em" else partition_highT
 
     def ucs(h: float):
         ts = (t - 2 * h, t - h, t, t + h, t + 2 * h)
-        ln = [_log_z(kind, ti, tp, cfg, tol) for ti in ts]
+        ln = [math.log(partition(ti, tp, cfg).value) for ti in ts]
         d1 = (-ln[4] + 8.0 * ln[3] - 8.0 * ln[1] + ln[0]) / (12.0 * h)
         d2 = (-ln[4] + 16.0 * ln[3] - 30.0 * ln[2] + 16.0 * ln[1] - ln[0]) / (12.0 * h * h)
-        u = tp.kB * t * t * d1
-        c = 2.0 * t * d1 + t * t * d2
-        s = ln[2] + t * d1
-        return u, c, s
+        return tp.kB * t * t * d1, 2.0 * t * d1 + t * t * d2, ln[2] + t * d1  # U, C/kB, S/kB
 
-    h = 1e-4 * t
-    coarse = ucs(h)
-    fine = ucs(0.5 * h)
+    coarse, fine = ucs(1e-4 * t), ucs(0.5e-4 * t)
     return tuple((16.0 * f - c) / 15.0 for f, c in zip(fine, coarse))
 
 
@@ -305,14 +323,13 @@ class ThermoCurve:
     meta: dict
 
 
-def thermo_curve(
-    t_grid: Sequence[float],
-    tp: ThermoParams,
-    cfg: OscillatorConfig,
-    methods: Sequence[str] = ("highT",),
-    tol: float = 1e-10,
-) -> ThermoCurve:
-    """Tabulate all quantities per requested method over the temperature grid."""
+def thermo_curve(t_grid: Sequence[float], tp: ThermoParams, cfg: OscillatorConfig,
+                 methods: Sequence[str] = ("highT",), tol: float = 1e-10) -> ThermoCurve:
+    """Tabulate all quantities per requested method over the temperature grid.
+
+    ``direct`` gives U, C and S as exact canonical moments of the certified sum;
+    ``em`` and ``numeric-derivative`` difference ln Z of their partition route.
+    """
     grid = np.asarray(list(t_grid), dtype=float)
     if grid.size and np.any(np.diff(grid) <= 0.0):
         raise ParameterDomainError("temperature grid must be strictly increasing")
@@ -324,26 +341,19 @@ def thermo_curve(
         out = {}
         for method in methods:
             try:
+                ok, f = True, None
                 if method == "direct":
-                    z = partition_direct(t, tp, cfg, tol)
-                    u, c, s = _numeric_ucs("direct", t, tp, cfg, tol)
-                    ok = True
+                    z, f, u, c, s = partition_moments(t, tp, cfg, tol)[:5]
                 elif method == "em":
                     z = partition_em_series(t, tp, cfg).value
                     u, c, s = _numeric_ucs("em", t, tp, cfg)
-                    ok = True
-                elif method == "numeric-derivative":
-                    res = partition_highT(t, tp, cfg)
-                    z, ok = res.value, res.in_regime
-                    u, c, s = _numeric_ucs("highT", t, tp, cfg)
                 else:
-                    res = partition_highT(t, tp, cfg)
-                    z, ok = res.value, res.in_regime
-                    u = mean_energy(t, tp, cfg)
-                    c = specific_heat(t, tp, cfg)
-                    s = entropy(t, tp, cfg)
-                f = -tp.kB * t * math.log(z)
-                out[method] = ((z, f, u, c, s), ok)
+                    z, ok = partition_highT(t, tp, cfg)
+                    if method == "numeric-derivative":
+                        u, c, s = _numeric_ucs("highT", t, tp, cfg)
+                    else:
+                        u, c, s = mean_energy(t, tp, cfg), specific_heat(t, tp, cfg), entropy(t, tp, cfg)
+                out[method] = ((z, -tp.kB * t * math.log(z) if f is None else f, u, c, s), ok)
             except OutOfRegimeError:
                 out[method] = ((math.nan,) * 5, False)
         return out
@@ -353,20 +363,9 @@ def thermo_curve(
     flags = {m: np.ones(grid.size, dtype=bool) for m in methods}
     for i, res in enumerate(points):
         for m in methods:
-            (z, f, u, c, s), ok = res[m]
-            data[m]["Z"][i] = z
-            data[m]["F"][i] = f
-            data[m]["U"][i] = u
-            data[m]["C"][i] = c
-            data[m]["S"][i] = s
-            flags[m][i] = ok
-    meta = {
-        "l": tp.l,
-        "dim": tp.dim,
-        "theta": tp.theta,
-        "a1": tp.a1,
-        "a2": tp.a2,
-        "a3": tp.a3,
-        "methods": list(methods),
-    }
+            values, flags[m][i] = res[m]
+            for q, v in zip(QUANTITIES, values):
+                data[m][q][i] = v
+    meta = {"l": tp.l, "dim": tp.dim, "theta": tp.theta, "a1": tp.a1, "a2": tp.a2, "a3": tp.a3,
+            "methods": list(methods)}
     return ThermoCurve(temperatures=grid, data=data, flags=flags, meta=meta)

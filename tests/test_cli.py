@@ -157,6 +157,25 @@ class TestThermoCommand:
         ])
         assert code == 4
 
+    def test_direct_free_energy_finite_where_z_underflows(self, tmp_path):
+        prefix = tmp_path / "cold"
+        assert main(["thermo", "--method", "direct", "--alpha1", "0", "--alpha2", "1e-6",
+                     "--t-min", "0.001", "--t-max", "0.0011", "--t-count", "2", "--out", str(prefix)]) == 0
+        _, z = data_rows((tmp_path / "cold.Z.csv").read_text())
+        _, f = data_rows((tmp_path / "cold.F.csv").read_text())
+        assert [float(r[1]) for r in z] == [0.0, 0.0]  # exp(-1 / kB T) underflows
+        assert [float(r[1]) for r in f] == pytest.approx([1.0, 1.0], rel=1e-15)  # the ground level
+
+    def test_json_format(self, tmp_path):
+        prefix = tmp_path / "j"
+        assert main(["thermo", "--format", "json", "--t-count", "2", "--alpha1", "0", "--alpha2", "1e-6",
+                     "--out", str(prefix)]) == 0
+        payload = json.loads((tmp_path / "j.C.json").read_text())
+        columns = payload["columns"]
+        assert columns == ["T", "C[theta=1e-06][highT]", "in_regime[theta=1e-06][highT]"]
+        assert [row[0] for row in payload["rows"]] == [15.0, 50.0]
+        assert [row[2] for row in payload["rows"]] == [1, 1]
+
     def test_missing_out_prefix(self, capsys):
         code, _, err = run(capsys, "thermo", "--t-count", "3")
         assert code == 2
@@ -213,6 +232,9 @@ class TestExitCodes:
           for flag in ("--alpha1", "--alpha2") for value in ("nan", "inf", "-inf")],
         ["wavefunction", "--n", "0", "--alpha2", "nan"],
         ["spectrum", "--units", "si", "--m", "nan"],
+        *[["thermo", "--method", "direct", "--alpha1", "0", "--alpha2", "1e-6", flag, value,
+           "--t-count", "3", "--out", "x"] for flag, value in (("--t-max", "nan"), ("--t-max", "inf"),
+                                                             ("--t-min", "nan"))],
     ])
     def test_nonfinite_parameter_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -31,7 +31,7 @@ GOLDEN = {
     ),
     "thermo-figure4": (
         ["thermo", "--figure4", "--method", "all", "--t-min", "15", "--t-max", "16", "--t-count", "2"],
-        "ce844d1a12c2d1695b8b424dbfd45ecaf84aa5fba203a7cf740b3cb8c5601016",
+        "c6f9246516172c228dd02957a02c1714a4224ce967b22fc8149d4cc327d380c5",
     ),
     "wavefunction-n7": (
         ["wavefunction", "--n", "7"],

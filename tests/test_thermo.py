@@ -14,6 +14,7 @@ from sdsosc.thermo import (
     partition_direct,
     partition_em_series,
     partition_highT,
+    partition_moments,
     specific_heat,
     thermo_curve,
     thermo_params,
@@ -79,10 +80,50 @@ class TestPartitionDirect:
 
     def test_validation(self):
         tp, cfg = make()
-        with pytest.raises(ParameterDomainError):
-            partition_direct(-1.0, tp, cfg)
-        with pytest.raises(ParameterDomainError):
-            partition_direct(1.0, tp, cfg, tol=0.0)
+        for t in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterDomainError):
+                partition_direct(t, tp, cfg)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ParameterDomainError):
+                partition_direct(1.0, tp, cfg, tol=tol)
+
+
+def fsum_moments(t, theta, start, stop):
+    """math.fsum of dE^k exp(-dE / t), k = 0, 1, 2, over start <= n < stop, with
+    dE = sqrt(1 + (2 + 2 theta) n + theta n^2) - 1 (natural units, D = 3, l = 0)."""
+    parts = ([], [], [])
+    for lo in range(start, stop, 1 << 18):
+        n = np.arange(lo, min(lo + (1 << 18), stop), dtype=float)
+        de = np.sqrt(1.0 + (2.0 + 2.0 * theta) * n + theta * n * n) - 1.0
+        w = np.exp(-de / t)
+        for k, part in enumerate(parts):
+            part.append(math.fsum(memoryview(w * de**k)))
+    return [math.fsum(part) for part in parts]
+
+
+class TestPartitionMoments:
+    # the first point is a hard case for finite differences of ln Z (C off by 1.9e-3 there);
+    # the last one stops after the first block
+    POINTS = [(49.61628691582124, 0.0)] + [(x, th) for x in (15.0, 30.0, 50.0) for th in (0.0, 1e-6, 1e-5)] + [
+        (0.05, 1e-5)]
+
+    @pytest.mark.parametrize("x,theta", POINTS)
+    def test_canonical_moments_match_fsum_brute_force(self, x, theta):
+        tp, cfg = make(theta=theta, dim=3)
+        res = partition_moments(x, tp, cfg)
+        # brute force over twice the summed range; past it dE >= sqrt(2) dE_terms, so what
+        # is left out is negligible next to the remainder over [terms, 2 terms)
+        head = fsum_moments(x, theta, 0, res.terms)
+        rest = fsum_moments(x, theta, res.terms, 2 * res.terms)
+        s0, s1, s2 = (a + b for a, b in zip(head, rest))
+        mean = s1 / s0
+        u, c = 1.0 + mean, (s2 / s0 - mean * mean) / (x * x)
+        s = math.log(s0) - 1.0 / x + u / x
+        assert res.u == pytest.approx(u, rel=1e-10)
+        assert res.c == pytest.approx(c, rel=1e-10)
+        assert res.s == pytest.approx(s, rel=1e-10)
+        assert res.z == pytest.approx(s0 * math.exp(-1.0 / x), rel=1e-10)
+        assert all(tail >= remainder for tail, remainder in zip(res.tails, rest))
 
 
 class TestPartitionHighT:
