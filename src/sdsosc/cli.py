@@ -197,24 +197,32 @@ def _energies(ns, ls, dim: int, params, cfg: OscillatorConfig) -> np.ndarray:
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     run = build_run_config(args)
-    cfg = run.oscillator()
-    n = args.n
-    count = args.p_count
-    if count < 2:
+    if args.p_count < 2:
         raise ParameterDomainError("p-count must be at least 2")
+    # overflow shows up as inf/NaN samples, rejected below as one error line
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid, values, meta = _wavefunction_samples(run, args.n, args.p_count, args.undeformed)
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"wavefunction n={args.n}: psi samples overflow double precision")
+    if not math.isfinite(meta["norm_check"]):
+        raise NumericError(f"wavefunction n={args.n}: norm_check is {meta['norm_check']!r} in double precision")
+    table = SpectrumTable(columns=("p", "psi"), rows=list(zip(grid.tolist(), np.asarray(values).tolist())), meta=meta)
+    _emit(table, run, run.out)
+    return 0
 
-    if args.undeformed:
+
+def _wavefunction_samples(run: RunConfig, n: int, count: int, undeformed: bool):
+    """(momentum grid, psi samples, metadata with the quadrature norm_check)."""
+    cfg = run.oscillator()
+    if undeformed:
         sigma = cfg.m * cfg.omega * cfg.hbar
         span = 6.0 * math.sqrt(sigma * (n + 1.0))
         grid = np.linspace(-span, span, count)
-        values = s1.wavefunction_1d_undeformed(n, cfg, grid)
         rule = gauss_jacobi_rule(160, 0.0, 0.0)
         sample = np.asarray(s1.wavefunction_1d_undeformed(n, cfg, span * rule.nodes))
         norm = span * float(np.dot(rule.weights, sample * sample))
         meta = {"kind": "wavefunction-undeformed", "n": n, "norm_check": norm, "units": run.units}
-        table = SpectrumTable(columns=("p", "psi"), rows=list(zip(grid.tolist(), values.tolist())), meta=meta)
-        _emit(table, run, run.out)
-        return 0
+        return grid, s1.wavefunction_1d_undeformed(n, cfg, grid), meta
 
     params = derive_params(run.alpha1, run.alpha2, cfg)
     if run.alpha2 <= 0.0:
@@ -226,19 +234,14 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     if run.dim == 1:
         grid = np.linspace(-clip, clip, count)
         values = s1.wavefunction_1d(n, params, cfg, grid)
-        norm = s1.wavefunction_norm_1d(n, params, cfg)
-        meta = {"kind": "wavefunction", "n": n, "norm_check": norm, "units": run.units,
-                "alpha1": run.alpha1, "alpha2": run.alpha2, "momentum_cutoff": pmax}
+        meta = {"kind": "wavefunction", "n": n, "norm_check": s1.wavefunction_norm_1d(n, params, cfg)}
     else:
         grid = np.linspace(0.0, clip, count)
         values = snd.radial_wavefunction(n, run.l, run.dim, params, cfg, grid)
-        norm = snd.radial_norm(n, run.l, run.dim, params, cfg)
         meta = {"kind": "radial-wavefunction", "nr": n, "l": run.l, "dim": run.dim,
-                "norm_check": norm, "units": run.units,
-                "alpha1": run.alpha1, "alpha2": run.alpha2, "momentum_cutoff": pmax}
-    table = SpectrumTable(columns=("p", "psi"), rows=list(zip(grid.tolist(), np.asarray(values).tolist())), meta=meta)
-    _emit(table, run, run.out)
-    return 0
+                "norm_check": snd.radial_norm(n, run.l, run.dim, params, cfg)}
+    meta.update(units=run.units, alpha1=run.alpha1, alpha2=run.alpha2, momentum_cutoff=pmax)
+    return grid, values, meta
 
 
 def _theta_params(theta: float, cfg: OscillatorConfig):

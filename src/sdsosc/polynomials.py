@@ -1,5 +1,5 @@
 """Orthogonal-polynomial kernel: Gegenbauer, Jacobi and Hermite recurrences,
-an overflow-safe log-gamma, closed-form weighted norms in log space, and
+a domain-checked log-gamma, closed-form weighted norms in log space, and
 Gauss-Jacobi quadrature rules.
 
 All polynomial evaluation goes through the forward three-term recurrences in
@@ -22,34 +22,12 @@ LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
 LN2PI = math.log(2.0 * math.pi)
 
-# Lanczos approximation, g = 7, 9 coefficients (double-precision grade).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, relative error below 1e-13 on [0.5, 1e6]."""
+    """ln Gamma(x) for x > 0 (the C library's lgamma, a few ulp accurate)."""
     if x <= 0.0:
         raise ParameterDomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # shift into the Lanczos sweet spot
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * LN2PI + (z + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(x)
 
 
 def gegenbauer(n: int, nu: float, x):
@@ -196,21 +174,22 @@ def _jacobi_recurrence(n: int, a: float, b: float):
 
 
 def _orthonormal_eval(x, order: int, alpha, beta):
-    """Orthonormal polynomials p_0..p_order and p_order' at x (vectorized)."""
+    """p_order and p_order' of the orthonormal polynomials at x (vectorized),
+    plus the Christoffel sum p_0^2 + ... + p_(order-1)^2."""
     x = np.asarray(x, dtype=float)
     p_prev = np.zeros_like(x)
     p = np.full_like(x, 1.0 / math.sqrt(beta[0]))
     d_prev = np.zeros_like(x)
     d = np.zeros_like(x)
-    history = [p.copy()]
+    sumsq = np.zeros_like(x)
     for k in range(order):
+        sumsq += p * p
         sb_next = math.sqrt(beta[k + 1])
         p_next = ((x - alpha[k]) * p - (math.sqrt(beta[k]) * p_prev if k > 0 else 0.0)) / sb_next
         d_next = ((x - alpha[k]) * d + p - (math.sqrt(beta[k]) * d_prev if k > 0 else 0.0)) / sb_next
         p_prev, p = p, p_next
         d_prev, d = d, d_next
-        history.append(p.copy())
-    return np.array(history), d
+    return p, d, sumsq
 
 
 def gauss_jacobi_scaled(n: int, a: float, b: float):
@@ -236,25 +215,40 @@ def gauss_jacobi_scaled(n: int, a: float, b: float):
         t = np.diag(alpha[:n]) + np.diag(off, 1) + np.diag(off, -1)
         nodes = np.linalg.eigvalsh(t)
     # Newton polish on p_n (roots of the degree-n orthonormal polynomial)
-    for sweep in range(100):
-        hist, deriv = _orthonormal_eval(nodes, n, alpha, beta)
-        step = hist[n] / deriv
+    for _ in range(100):
+        p_n, deriv = _orthonormal_eval(nodes, n, alpha, beta)[:2]
+        step = p_n / deriv
         nodes = nodes - step
-        if np.max(np.abs(step)) < 1e-14:
+        largest = float(np.max(np.abs(step)))
+        if not largest >= 1e-14:  # converged, or NaN: stop sweeping either way
             break
-    else:
+    if not largest < 1e-14:
         raise NumericError(
             f"Gauss-Jacobi node polish did not converge for N={n}, a={a}, b={b}; "
-            f"last max step {np.max(np.abs(step)):.3e}"
+            f"last max step {largest:.3e}"
         )
     nodes = np.sort(nodes)
-    hist, _ = _orthonormal_eval(nodes, n - 1, alpha, beta) if n > 1 else _orthonormal_eval(nodes, 0, alpha, beta)
-    weights = 1.0 / np.sum(hist * hist, axis=0)
+    weights = 1.0 / _orthonormal_eval(nodes, n, alpha, beta)[2]
     if not (np.all(np.diff(nodes) > 0) and nodes[0] > -1.0 and nodes[-1] < 1.0):
         raise NumericError(f"Gauss-Jacobi nodes invalid for N={n}, a={a}, b={b}")
     if not np.all(weights > 0):
         raise NumericError(f"Gauss-Jacobi produced nonpositive weights for N={n}, a={a}, b={b}")
     return nodes, weights, log_mass
+
+
+def log_weighted_dot(weights, u, v) -> tuple[float, float]:
+    """(sign, ln |sum_i w_i u_i v_i|) without overflow in the products.
+
+    Each vector is divided by its largest magnitude before the product and
+    the logs of the two scales are added back, so u * v stays O(1) even when
+    the polynomial values sit near the top of the double range.  A zero sum
+    gives (0.0, -inf); a non-finite input gives a NaN log.
+    """
+    su, sv = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
+    s = 0.0 if su == 0.0 or sv == 0.0 else float(np.dot(weights, (u / su) * (v / sv)))
+    if s == 0.0:
+        return 0.0, -math.inf
+    return math.copysign(1.0, s), math.log(abs(s)) + math.log(su) + math.log(sv)
 
 
 def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:

@@ -25,12 +25,13 @@ from .polynomials import (
     LN2,
     LN2PI,
     LNPI,
-    gauss_jacobi_rule,
+    gauss_jacobi_scaled,
     gegenbauer,
     gegenbauer_norm_log,
     hermite,
     log_gamma,
     log_term_sum,
+    log_weighted_dot,
 )
 
 
@@ -196,26 +197,20 @@ def wavefunction_1d_undeformed(n: int, cfg: OscillatorConfig, p):
     return float(values) if np.isscalar(p) or np.ndim(p) == 0 else values
 
 
-def wavefunction_norm_1d(n: int, params: DeformationParams, cfg: OscillatorConfig, tol: float = 1e-12) -> float:
+def wavefunction_norm_1d(n: int, params: DeformationParams, cfg: OscillatorConfig) -> float:
     """Quadrature norm of psi_n under the deformed measure (independent oracle).
 
     Substituting u = sqrt(alpha2) p maps the measure onto the Gauss-Jacobi
-    weight with exponents (nu - 1/2, nu - 1/2); the rule size doubles until
-    the value moves by less than ``tol``.
+    weight with exponents (nu - 1/2, nu - 1/2).  The integrand [C_n^nu]^2 has
+    degree 2n, so the (n + 1)-node rule is exact; the weight mass, the
+    normalization and the polynomial scale are composed in log space.
     """
     nu = nu_exponent(params, cfg)
-    size = max(2 * n + 8, 16)
-    prev = None
-    for _ in range(8):
-        rule = gauss_jacobi_rule(size, nu - 0.5, nu - 0.5)
-        log_l = log_norm_constant_1d(n, nu, params.alpha2)
-        poly = np.asarray(gegenbauer(n, nu, rule.nodes))
-        value = math.exp(2.0 * log_l - 0.5 * math.log(params.alpha2)) * rule.integrate(poly * poly)
-        if prev is not None and abs(value - prev) < tol:
-            return value
-        prev = value
-        size *= 2
-    return prev
+    nodes, weights, log_mass = gauss_jacobi_scaled(n + 1, nu - 0.5, nu - 0.5)
+    poly = np.asarray(gegenbauer(n, nu, nodes))
+    _, log_s = log_weighted_dot(weights, poly, poly)
+    log_l = log_norm_constant_1d(n, nu, params.alpha2)
+    return math.exp(2.0 * log_l - 0.5 * math.log(params.alpha2) + log_mass + log_s)
 
 
 def normalization_identity_residual(n: int, nu: float) -> float:

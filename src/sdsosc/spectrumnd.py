@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, QuantumNumberError
 from .model import DeformationParams, OscillatorConfig, level_radicand, level_shift_first_order
-from .polynomials import LN2, jacobi, log_gamma, log_term_sum
+from .polynomials import LN2, gauss_jacobi_scaled, jacobi, log_gamma, log_term_sum, log_weighted_dot
 from .spectrum1d import _check_branch, momentum_cutoff, nu_exponent
 from .tables import SpectrumTable
 
@@ -190,41 +190,30 @@ def radial_inner_product(
     """Inner product of two radial states under the deformed measure.
 
     z = 2 alpha2 p^2 - 1 maps the measure onto the Jacobi weight with
-    exponents (mu - 1/2, l - 1 + D/2); everything scale-like is composed in
-    log space because the weight's total mass overflows double precision for
-    large mu.  Equals delta_{n1 n2} for normalized states.
+    exponents (mu - 1/2, l - 1 + D/2); everything scale-like, including the
+    polynomial magnitudes, is composed in log space because the weight's
+    total mass overflows double precision for large mu.  Equals
+    delta_{n1 n2} for normalized states.
     """
-    from .polynomials import gauss_jacobi_scaled
-
     mu, a, b = radial_exponents(params, cfg, l, dim)
     nodes, unit_weights, log_mass = gauss_jacobi_scaled(size or (n1 + n2 + 12), a, b)
     p1 = np.asarray(jacobi(n1, a, b, nodes))
-    p2 = np.asarray(jacobi(n2, a, b, nodes))
-    s = float(np.dot(unit_weights, p1 * p2))
-    if s == 0.0:
+    sign, log_s = log_weighted_dot(unit_weights, p1, p1 if n2 == n1 else np.asarray(jacobi(n2, a, b, nodes)))
+    if sign == 0.0:
         return 0.0
     log_n1 = log_norm_constant_nd(n1, l, dim, mu, params.alpha2)
     log_n2 = log_norm_constant_nd(n2, l, dim, mu, params.alpha2)
     log_const = _radial_measure_log_const(l, dim, mu, params.alpha2)
-    return math.copysign(math.exp(log_n1 + log_n2 + log_const + log_mass + math.log(abs(s))), s)
+    return math.copysign(math.exp(log_n1 + log_n2 + log_const + log_mass + log_s), sign)
 
 
-def radial_norm(
-    nr: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig, tol: float = 1e-12
-) -> float:
+def radial_norm(nr: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig) -> float:
     """Quadrature norm of phi under the D-dimensional deformed radial measure.
 
-    Rule size doubles until the value moves by less than ``tol``.
+    The integrand [P_nr^(a,b)]^2 has degree 2 nr, so the (nr + 1)-node rule
+    is exact.
     """
-    size = max(2 * nr + 8, 16)
-    prev = None
-    for _ in range(8):
-        value = radial_inner_product(nr, nr, l, dim, params, cfg, size=size)
-        if prev is not None and abs(value - prev) < tol:
-            return value
-        prev = value
-        size *= 2
-    return prev
+    return radial_inner_product(nr, nr, l, dim, params, cfg, size=nr + 1)
 
 
 def radial_normalization_identity_residual(nr: int, l: int, dim: int, mu: float) -> float:

@@ -2,7 +2,8 @@
 
 CSV output carries '#'-prefixed metadata lines (parameter echo, units,
 version) ahead of the header row and prints numbers with 17 significant
-digits, so identical configurations produce byte-identical files.
+digits, so identical configurations produce byte-identical files.  JSON
+output is strict JSON: a non-finite number becomes null.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ def format_number(x: Any) -> str:
     return str(x)
 
 
+def _json_value(x: Any) -> Any:
+    """``x`` with every non-finite float, also inside lists and dicts, as None."""
+    if isinstance(x, float):
+        return x if abs(x) < float("inf") else None  # False for NaN too
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    return x
+
+
 @dataclass
 class SpectrumTable:
     """Rows of per-level quantities plus self-describing metadata."""
@@ -42,9 +54,5 @@ class SpectrumTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "meta": self.meta,
-            "columns": list(self.columns),
-            "rows": [[v for v in row] for row in self.rows],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload = {"meta": self.meta, "columns": list(self.columns), "rows": self.rows}
+        return json.dumps(_json_value(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"

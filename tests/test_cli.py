@@ -117,6 +117,31 @@ class TestWavefunctionCommand:
         peak = max(float(r[1]) for r in body)
         assert peak == pytest.approx(math.pi ** -0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        # [C_250^200]^2 overflows at the nodes; the norm is composed in log space
+        ["--n", "250", "--alpha1", "0", "--alpha2", "5e-3"],
+        # strongly asymmetric Jacobi exponents (a = 1999.5, b = 2.5)
+        ["--n", "50", "--l", "2", "--dim", "3", "--alpha1", "0", "--alpha2", "5e-4"],
+    ])
+    def test_large_state_norm_check(self, capsys, argv):
+        code, out, err = run(capsys, "wavefunction", *argv, "--p-count", "41")
+        assert code == 0 and err == ""
+        norm_line = next(l for l in out.splitlines() if l.startswith("# norm_check:"))
+        assert abs(float(norm_line.split(":")[1]) - 1.0) <= 1e-10
+        _, body = data_rows(out)
+        assert len(body) == 41 and all(math.isfinite(float(r[1])) for r in body)
+
+    # n = 1000 at alpha2 = 5e-3 is TestExitCodes.test_failed_quadrature_is_four
+    @pytest.mark.parametrize("argv", [
+        ["--n", "300", "--alpha1", "0", "--alpha2", "1e-3"],
+        ["--n", "200", "--undeformed"],
+    ])
+    def test_overflowing_state_is_numeric_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "x.csv"
+        code, out, err = run(capsys, "wavefunction", *argv, "--out", str(target))
+        assert code == 4 and out == "" and not target.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestThermoCommand:
     def test_figure4_constant_undeformed_column(self, tmp_path):
@@ -175,6 +200,18 @@ class TestThermoCommand:
         assert columns == ["T", "C[theta=1e-06][highT]", "in_regime[theta=1e-06][highT]"]
         assert [row[0] for row in payload["rows"]] == [15.0, 50.0]
         assert [row[2] for row in payload["rows"]] == [1, 1]
+
+    def test_json_out_of_regime_cells_are_null(self, tmp_path):
+        prefix = tmp_path / "j"
+        assert main(["thermo", "--format", "json", "--method", "all", "--alpha1", "0", "--alpha2", "1e-3",
+                     "--t-min", "15", "--t-max", "50", "--t-count", "2", "--out", str(prefix)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        payload = json.loads((tmp_path / "j.C.json").read_text(), parse_constant=reject)
+        em = payload["columns"].index("C[theta=0.001][em]")
+        assert [row[em] for row in payload["rows"]].count(None) >= 1
 
     def test_missing_out_prefix(self, capsys):
         code, _, err = run(capsys, "thermo", "--t-count", "3")
@@ -241,6 +278,9 @@ class TestExitCodes:
         assert code == 2 and "finite" in err and out == ""
 
     def test_failed_quadrature_is_four(self, capsys, tmp_path):
-        code, _, err = run(capsys, "wavefunction", "--n", "50", "--l", "2", "--dim", "3",
-                           "--alpha1", "0", "--alpha2", "5e-4", "--out", str(tmp_path / "x.csv"))
-        assert code == 4 and "Gauss-Jacobi" in err
+        # C_1000^200 overflows double precision: a NumericError, reported on one line
+        target = tmp_path / "x.csv"
+        code, _, err = run(capsys, "wavefunction", "--n", "1000", "--alpha1", "0", "--alpha2", "5e-3",
+                           "--out", str(target))
+        assert code == 4 and not target.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from sdsosc.polynomials import (
     jacobi,
     jacobi_norm_log,
     log_gamma,
+    log_weighted_dot,
 )
 
 
@@ -115,6 +117,25 @@ class TestHermite:
         assert sups[0] > sups[1] > sups[2]
 
 
+class TestLogWeightedDot:
+    def test_squares_beyond_double_range(self):
+        # 0.25 * 1e600 + 0.75 * 4e600 = 3.25e600, far above the double range
+        sign, log_s = log_weighted_dot(np.array([0.25, 0.75]), np.array([1e300, -2e300]), np.array([1e300, -2e300]))
+        assert sign == 1.0 and log_s == pytest.approx(math.log(3.25) + 600.0 * math.log(10.0), rel=1e-15)
+
+    def test_sign_and_zero(self):
+        w = np.array([0.5, 0.5])
+        assert log_weighted_dot(w, np.array([1.0, 2.0]), np.array([-3.0, 1.0]))[0] == -1.0
+        assert log_weighted_dot(w, np.array([1.0, 1.0]), np.array([1.0, -1.0])) == (0.0, -math.inf)
+        assert log_weighted_dot(w, np.zeros(2), np.ones(2)) == (0.0, -math.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_values_give_nan(self, bad):
+        u = np.array([1.0, bad])
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(log_weighted_dot(np.array([0.5, 0.5]), u, u)[1])
+
+
 class TestLogGamma:
     def test_special_values(self):
         assert abs(log_gamma(1.0)) < 5e-15
@@ -127,14 +148,15 @@ class TestLogGamma:
         right = (2.0 * nu - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi) + log_gamma(nu) + log_gamma(nu + 0.5)
         assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
 
-    def test_against_libm_over_contract_range(self):
-        for x in np.geomspace(0.5, 1e6, 4001):
-            mine, ref = log_gamma(float(x)), math.lgamma(float(x))
+    # log_gamma is the C library's lgamma, so the oracle is mpmath, not math.lgamma
+    def test_against_mpmath_over_contract_range(self):
+        for x in np.geomspace(0.01, 1e6, 4001):
+            mine, ref = log_gamma(float(x)), float(mpmath.loggamma(mpmath.mpf(float(x))))
             assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_small_arguments(self):
         for x in (0.01, 0.2, 0.49):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13)
+            assert log_gamma(x) == pytest.approx(float(mpmath.loggamma(mpmath.mpf(x))), rel=1e-13)
 
     def test_domain_error(self):
         with pytest.raises(ParameterDomainError):
