@@ -11,10 +11,11 @@ failed (NumericError).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     OutOfRegimeError,
     ParameterDomainError,
     QuantumNumberError,
-    UnitSystemError,
+    SdsError,
     UnsupportedRepresentationError,
 )
 from .model import (
@@ -83,43 +84,65 @@ class RunConfig:
     def echo(self) -> dict:
         """Effective configuration; the destination path is not part of it,
         so identical computations emit identical bytes wherever they land."""
-        fields = asdict(self)
-        fields.pop("out")
-        return fields
+        return {k: v for k, v in asdict(self).items() if k != "out"}
+
+
+# closed value sets and upper bounds of the RunConfig options; config-file
+# values meet the same checks as flags
+CHOICES = {
+    "units": (NATURAL, SI),
+    "format": ("csv", "json"),
+    "t_scale": ("linear", "log"),
+    "method": th.METHODS + ("all",),
+}
+LIMITS = {"dim": 2**53, "l": 2**53, "n_min": 2**53, "n_max": 2**53, "t_count": 10_000}
+MAX_ROWS = 1_000_000  # spectrum table rows
+MAX_P_COUNT = 1_000_000
+MAX_WAVEFUNCTION_N = 5000  # its norm check solves an (n + 1)-node rule in O(n^3)
+
+
+def _field_type(key: str) -> type:
+    """Type of a run option: that of its default (``out`` is a path)."""
+    default = RunConfig.__dataclass_fields__[key].default
+    return str if default is None else type(default)
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ParameterDomainError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParameterDomainError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 JSON, an integer too long to parse
+        raise ParameterDomainError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParameterDomainError("config file must hold a JSON object")
-    allowed = set(RunConfig.__dataclass_fields__)
-    unknown = set(data) - allowed
+    unknown = set(data) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ParameterDomainError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config(args.config))
-    overrides = {}
-    for key in RunConfig.__dataclass_fields__:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            overrides[key] = flag
-    cfg = replace(cfg, **overrides)
-    if cfg.units not in (NATURAL, SI):
-        raise ParameterDomainError(f"units must be 'natural' or 'si', got {cfg.units!r}")
-    if cfg.format not in ("csv", "json"):
-        raise ParameterDomainError(f"format must be 'csv' or 'json', got {cfg.format!r}")
-    return cfg
+    """Defaults, then config-file values, then flags.
+
+    A config value is read as the text of its flag: JSON null leaves the key
+    unset, true/false, lists and objects are rejected, and 3.0 for an integer
+    key fails just as ``--dim 3.0`` does.
+    """
+    values = {k: v for k, v in (load_config(args.config) if args.config else {}).items() if v is not None}
+    values.update({k: v for k in RunConfig.__dataclass_fields__ if (v := getattr(args, k, None)) is not None})
+    for key, value in values.items():
+        kind = _field_type(key)
+        try:
+            if type(value) not in (str, int, float):  # JSON true/false, lists, objects
+                raise ValueError
+            value = values[key] = kind(str(value))
+        except ValueError:
+            raise ParameterDomainError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ParameterDomainError(f"{key} must be one of {CHOICES[key]}, got {value!r}")
+        if key in LIMITS and value > LIMITS[key]:
+            raise ParameterDomainError(f"{key} must be at most {LIMITS[key]}, got {value}")
+    return RunConfig(**values)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -138,12 +161,18 @@ def _emit(table: SpectrumTable, run: RunConfig, out: str | None) -> None:
 
 def _levels(run: RunConfig):
     """Integer arrays (n, l) of the table rows: l = 0 in 1D, every l of n's parity otherwise."""
+    lo = max(run.n_min, 0)
     if run.n_max < run.n_min or run.n_max < 0:
         raise QuantumNumberError(f"empty quantum-number range [{run.n_min}, {run.n_max}]")
+    rows = run.n_max - lo + 1
+    if run.dim > 1:  # n // 2 + 1 rows per n; sum_{k <= n} k // 2 = (n // 2) ((n + 1) // 2)
+        rows += (run.n_max // 2) * ((run.n_max + 1) // 2) - ((lo - 1) // 2) * (lo // 2)
+    if rows > MAX_ROWS:
+        raise ParameterDomainError(f"spectrum table would have {rows} rows; the limit is {MAX_ROWS}")
     if run.dim == 1:
-        ns = np.arange(max(run.n_min, 0), run.n_max + 1)
+        ns = np.arange(lo, run.n_max + 1)
         return ns, np.zeros_like(ns)
-    return snd.level_pairs(max(run.n_min, 0), run.n_max)
+    return snd.level_pairs(lo, run.n_max)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -174,19 +203,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     # Python scalars, not NumPy ones: json.dumps rejects np.int64
     rows = list(zip(ns.tolist(), ls.tolist(), [run.dim] * ns.size,
                     energy.tolist(), spacing.tolist(), dev.tolist()))
-    meta = {
-        "kind": "spectrum",
-        "units": run.units,
-        "alpha1": run.alpha1,
-        "alpha2": run.alpha2,
-        "spacing_asymptote": s1.spacing_asymptote(params, cfg),
-    }
-    table = SpectrumTable(
-        columns=("n", "l", "dim", "energy", "spacing", "deviation_first_order"),
-        rows=rows,
-        meta=meta,
-    )
-    _emit(table, run, run.out)
+    meta = {"kind": "spectrum", "units": run.units, "alpha1": run.alpha1, "alpha2": run.alpha2,
+            "spacing_asymptote": s1.spacing_asymptote(params, cfg)}
+    columns = ("n", "l", "dim", "energy", "spacing", "deviation_first_order")
+    _emit(SpectrumTable(columns=columns, rows=rows, meta=meta), run, run.out)
     return 0
 
 
@@ -197,10 +217,12 @@ def _energies(ns, ls, dim: int, params, cfg: OscillatorConfig) -> np.ndarray:
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     run = build_run_config(args)
-    if args.p_count < 2:
-        raise ParameterDomainError("p-count must be at least 2")
+    if not 2 <= args.p_count <= MAX_P_COUNT:
+        raise ParameterDomainError(f"p-count must be between 2 and {MAX_P_COUNT}, got {args.p_count}")
+    if args.n > MAX_WAVEFUNCTION_N:
+        raise ParameterDomainError(f"n must be at most {MAX_WAVEFUNCTION_N}, got {args.n}")
     # overflow shows up as inf/NaN samples, rejected below as one error line
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         grid, values, meta = _wavefunction_samples(run, args.n, args.p_count, args.undeformed)
     if not np.all(np.isfinite(values)):
         raise NumericError(f"wavefunction n={args.n}: psi samples overflow double precision")
@@ -257,25 +279,13 @@ def cmd_thermo(args: argparse.Namespace) -> int:
         raise ParameterDomainError("temperature grid needs finite 0 < t_min < t_max and t_count >= 2")
     if run.out is None:
         raise ParameterDomainError("thermo writes one file per quantity; --out prefix is required")
-    if run.t_scale == "log":
-        grid = np.geomspace(run.t_min, run.t_max, run.t_count)
-    elif run.t_scale == "linear":
-        grid = np.linspace(run.t_min, run.t_max, run.t_count)
-    else:
-        raise ParameterDomainError(f"t_scale must be 'linear' or 'log', got {run.t_scale!r}")
-
-    methods = ("direct", "highT", "em", "numeric-derivative") if run.method == "all" else (run.method,)
-    if figure:
-        thetas = list(FIGURE_THETAS)
-        quantities = (FIGURE_QUANTITY[figure],)
-    else:
-        thetas = [derive_params(run.alpha1, run.alpha2, cfg).theta]
-        quantities = th.QUANTITIES
-
+    grid = (np.geomspace if run.t_scale == "log" else np.linspace)(run.t_min, run.t_max, run.t_count)
+    methods = th.METHODS if run.method == "all" else (run.method,)
+    thetas = list(FIGURE_THETAS) if figure else [derive_params(run.alpha1, run.alpha2, cfg).theta]
+    quantities = (FIGURE_QUANTITY[figure],) if figure else th.QUANTITIES
     curves = []
     for theta in thetas:
-        params = _theta_params(theta, cfg)
-        tp = th.thermo_params(params, cfg, l=run.l)
+        tp = th.thermo_params(_theta_params(theta, cfg), cfg, l=run.l)
         curves.append((theta, th.thermo_curve(grid, tp, cfg, methods=methods)))
 
     any_ok = False
@@ -298,8 +308,8 @@ def cmd_thermo(args: argparse.Namespace) -> int:
         table = SpectrumTable(columns=columns, rows=rows, meta=meta)
         _emit(table, run, f"{run.out}.{q}.{run.format}")
     if not any_ok:
-        print("error: every grid point is out of the high-temperature regime", file=sys.stderr)
-        return REGIME_ERROR
+        raise OutOfRegimeError("every grid point is out of the high-temperature regime; use --method direct, "
+                               "or a smaller --alpha1/--alpha2 so that theta*delta <= 0.5")
     return 0
 
 
@@ -475,57 +485,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--units", choices=(NATURAL, SI))
-    parser.add_argument("--alpha1", type=float)
-    parser.add_argument("--alpha2", type=float)
-    parser.add_argument("--m", type=float)
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--l", type=int)
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--out")
+def _add_options(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """One flag per RunConfig field, typed and restricted as the field is."""
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_field_type(key), choices=CHOICES.get(key))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sdsosc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sdsosc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its keys")
+    _add_options(common, "units", "alpha1", "alpha2", "m", "omega", "dim", "l", "format", "out")
 
-    p = sub.add_parser("spectrum", help="energy tables and spacing series")
-    _add_common(p)
-    p.add_argument("--n-min", dest="n_min", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
+    p = sub.add_parser("spectrum", parents=[common], help="energy tables and spacing series")
+    _add_options(p, "n_min", "n_max")
     p.add_argument("--figure1", action="store_true", help="emit (n, spacing) series with and without deformation")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("wavefunction", help="momentum-space wavefunction samples")
-    _add_common(p)
+    p = sub.add_parser("wavefunction", parents=[common], help="momentum-space wavefunction samples")
     p.add_argument("--n", type=int, required=True, help="level (1D) or radial number (dim > 1)")
     p.add_argument("--p-count", dest="p_count", type=int, default=201)
     p.add_argument("--undeformed", action="store_true", help="emit the zero-deformation profile")
     p.set_defaults(func=cmd_wavefunction)
 
-    p = sub.add_parser("thermo", help="thermodynamic curves per method and theta")
-    _add_common(p)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--t-count", dest="t_count", type=int)
-    p.add_argument("--t-scale", dest="t_scale", choices=("linear", "log"))
-    p.add_argument("--method", choices=("direct", "highT", "em", "numeric-derivative", "all"))
+    p = sub.add_parser("thermo", parents=[common], help="thermodynamic curves per method and theta")
+    _add_options(p, "t_min", "t_max", "t_count", "t_scale", "method")
     for k, q in FIGURE_QUANTITY.items():
         p.add_argument(f"--figure{k}", action="store_true", help=f"preset: {q} curves at theta in {FIGURE_THETAS}, 3D")
     p.set_defaults(func=cmd_thermo)
 
-    p = sub.add_parser("bounds", help="Penning-trap deformation bounds (SI)")
-    _add_common(p)
+    p = sub.add_parser("bounds", parents=[common], help="Penning-trap deformation bounds (SI)")
     p.add_argument("--b-field", dest="b_field", type=float, default=6.0)
     p.add_argument("--n-level", dest="n_level", type=float, default=1e10)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", help="run a verification suite, report JSON")
-    _add_common(p)
+    p = sub.add_parser("verify", parents=[common], help="run a verification suite, report JSON")
     p.add_argument("--suite", choices=tuple(VERIFY_SUITES) + ("all",), default="all")
     p.set_defaults(func=cmd_verify)
 
@@ -533,20 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterDomainError, QuantumNumberError, UnsupportedRepresentationError,
-            UnitSystemError) as exc:
+    except (SdsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OutOfRegimeError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return REGIME_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IO_ERROR
+        if isinstance(exc, OSError):
+            return IO_ERROR
+        return USAGE_ERROR if isinstance(exc, ValueError) else REGIME_ERROR
 
 
 if __name__ == "__main__":

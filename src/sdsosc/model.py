@@ -213,22 +213,27 @@ def deformation_bounds(cfg: OscillatorConfig, b_field: float, n_level: int) -> P
     """
     if cfg.units != SI:
         raise UnitSystemError("deformation bounds are dimensional; use an SI configuration")
-    if b_field <= 0:
-        raise ParameterDomainError("magnetic field strength must be positive")
-    if int(n_level) != n_level or n_level < 1:
-        raise ParameterDomainError("n_level must be a positive integer")
-
-    theta_si = _theta_bound_si(b_field, n_level)
-    theta_exact = theta_si * SPEED_OF_LIGHT**2      # in c^-2 kg^-2 m^-2 s^2
-    theta_bound = _round_one_sig(theta_exact)
-    # alpha1 = 0: theta = alpha2 / c^2  ->  alpha2 = theta_bound (c^-2 units)
-    delta_x = HBAR * math.sqrt(theta_bound)
-    # alpha2 = 0: theta = alpha1 / (m^2 w^2 c^2)  ->  alpha1 = theta_bound (m w)^2,
-    # and m_e w_c = e B.
-    delta_p = HBAR * math.sqrt(theta_bound) * ELEMENTARY_CHARGE * b_field
-    # local log-log slope of the exact bound in B
-    lo, hi = _theta_bound_si(0.99 * b_field, n_level), _theta_bound_si(1.01 * b_field, n_level)
-    slope = (math.log(hi) - math.log(lo)) / (math.log(1.01) - math.log(0.99))
+    if not 0 < b_field < math.inf:
+        raise ParameterDomainError(f"magnetic field strength must be finite and positive, got {b_field}")
+    if not (1 <= n_level < math.inf and int(n_level) == n_level):
+        raise ParameterDomainError(f"n_level must be a finite positive integer, got {n_level}")
+    try:
+        theta_si = _theta_bound_si(b_field, n_level)
+        theta_exact = theta_si * SPEED_OF_LIGHT**2      # in c^-2 kg^-2 m^-2 s^2
+        theta_bound = _round_one_sig(theta_exact)
+        # alpha1 = 0: theta = alpha2 / c^2  ->  alpha2 = theta_bound (c^-2 units)
+        delta_x = HBAR * math.sqrt(theta_bound)
+        # alpha2 = 0: theta = alpha1 / (m^2 w^2 c^2)  ->  alpha1 = theta_bound (m w)^2,
+        # and m_e w_c = e B.
+        delta_p = HBAR * math.sqrt(theta_bound) * ELEMENTARY_CHARGE * b_field
+        # local log-log slope of the exact bound in B
+        lo, hi = _theta_bound_si(0.99 * b_field, n_level), _theta_bound_si(1.01 * b_field, n_level)
+        slope = (math.log(hi) - math.log(lo)) / (math.log(1.01) - math.log(0.99))
+        finite = all(map(math.isfinite, (theta_exact, theta_bound, delta_x, delta_p, slope)))
+    except (ArithmeticError, ValueError):  # overflow, underflow to 0, round(nan)
+        finite = False
+    if not finite:
+        raise ParameterDomainError(f"the bounds at b_field = {b_field} T, n_level = {n_level} are not finite")
     return PenningTrapBounds(
         b_field=b_field,
         n_level=int(n_level),

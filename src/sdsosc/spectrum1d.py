@@ -210,7 +210,8 @@ def wavefunction_norm_1d(n: int, params: DeformationParams, cfg: OscillatorConfi
     poly = np.asarray(gegenbauer(n, nu, nodes))
     _, log_s = log_weighted_dot(weights, poly, poly)
     log_l = log_norm_constant_1d(n, nu, params.alpha2)
-    return math.exp(2.0 * log_l - 0.5 * math.log(params.alpha2) + log_mass + log_s)
+    log_norm = 2.0 * log_l - 0.5 * math.log(params.alpha2) + log_mass + log_s
+    return math.exp(log_norm) if log_norm < 709.78 else math.inf  # beyond double range
 
 
 def normalization_identity_residual(n: int, nu: float) -> float:

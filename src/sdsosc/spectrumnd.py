@@ -204,7 +204,8 @@ def radial_inner_product(
     log_n1 = log_norm_constant_nd(n1, l, dim, mu, params.alpha2)
     log_n2 = log_norm_constant_nd(n2, l, dim, mu, params.alpha2)
     log_const = _radial_measure_log_const(l, dim, mu, params.alpha2)
-    return math.copysign(math.exp(log_n1 + log_n2 + log_const + log_mass + log_s), sign)
+    log_g = log_n1 + log_n2 + log_const + log_mass + log_s
+    return math.copysign(math.exp(log_g) if log_g < 709.78 else math.inf, sign)  # beyond double range
 
 
 def radial_norm(nr: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig) -> float:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sdsosc.cli import main
+from sdsosc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -82,6 +82,72 @@ class TestSpectrumCommand:
             assert code == 0
             payload = json.loads(out)
             assert payload["columns"][0] == "n" and len(payload["rows"]) == n_rows
+
+
+class TestConfigFile:
+    """Config-file values meet the flag types and choices on one path."""
+
+    @pytest.mark.parametrize("command, values", [
+        ("spectrum", {"alpha1": "x"}),
+        ("spectrum", {"n_max": "abc"}),
+        ("spectrum", {"n_max": 3.5}),
+        ("spectrum", {"l": "a"}),
+        ("spectrum", {"alpha1": True}),
+        ("thermo", {"t_count": 2.5}),
+    ])
+    def test_value_of_wrong_type_is_usage_error(self, capsys, tmp_path, command, values):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        code, out, err = run(capsys, command, "--config", str(cfg_path), "--out", str(tmp_path / "x"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_null_leaves_key_unset(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out": None, "l": None, "n_max": 2}))
+        target = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", str(cfg_path), "--out", str(target)]) == 0
+        echoed = next(l for l in target.read_text().splitlines() if l.startswith("# config:"))
+        cfg = json.loads(echoed.split(":", 1)[1])
+        assert cfg["l"] == 0 and cfg["n_max"] == 2
+
+    def test_value_reads_as_its_flag_text(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_max": "4", "alpha1": 0, "units": "natural"}))
+        from_config, from_flags = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["spectrum", "--config", str(cfg_path), "--out", str(from_config)]) == 0
+        assert main(["spectrum", "--n-max", "4", "--alpha1", "0", "--out", str(from_flags)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+
+class TestSizeLimits:
+    # each input is one past a documented bound, or far past it, and returns at once
+    @pytest.mark.parametrize("argv, bound", [
+        (["spectrum", "--n-min", str(2**52), "--n-max", str(2**52 + 10**6)], "1000000"),
+        (["spectrum", "--dim", "3", "--n-min", "521", "--n-max", "2065"], "1000000"),
+        (["spectrum", "--n-min", str(2**53 + 1), "--n-max", str(2**53 + 1)], str(2**53)),
+        (["spectrum", "--figure1", "--n-max", str(10**30)], str(2**53)),
+        (["spectrum", "--n-min", str(10**24), "--n-max", str(10**24 + 1)], str(2**53)),
+        (["wavefunction", "--n", "0", "--p-count", str(10**6 + 1)], "1000000"),
+        (["wavefunction", "--n", "0", "--p-count", str(10**21)], "1000000"),
+        (["wavefunction", "--n", "5001"], "5000"),
+        (["thermo", "--t-count", "10001"], "10000"),
+        (["thermo", "--t-count", str(10**23)], "10000"),
+    ])
+    def test_limit_plus_one_is_usage_error(self, capsys, tmp_path, argv, bound):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == 2 and out == "" and not any(tmp_path.iterdir())
+        assert err.startswith("error: ") and err.count("\n") == 1 and bound in err
+
+    def test_quantum_number_at_limit(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--n-min", str(2**53), "--n-max", str(2**53))
+        assert code == 0
+        _, body = data_rows(out)
+        assert [r[0] for r in body] == [str(2**53)]
 
 
 class TestWavefunctionCommand:
@@ -213,6 +279,11 @@ class TestThermoCommand:
         em = payload["columns"].index("C[theta=0.001][em]")
         assert [row[em] for row in payload["rows"]].count(None) >= 1
 
+    def test_bare_run_names_the_fix(self, tmp_path, capsys):
+        code, out, err = run(capsys, "thermo", "--out", str(tmp_path / "x"))
+        assert code == 4 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "--method direct" in err and "--alpha1" in err
+
     def test_missing_out_prefix(self, capsys):
         code, _, err = run(capsys, "thermo", "--t-count", "3")
         assert code == 2
@@ -235,6 +306,11 @@ class TestBoundsCommand:
     def test_invalid_level_rejected(self, capsys):
         code, _, err = run(capsys, "bounds", "--units", "si", "--n-level", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--b-field", "1e300"], ["--b-field", "1e-300"], ["--n-level", "1e300"]])
+    def test_bounds_beyond_double_range_are_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "bounds", "--units", "si", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -272,6 +348,8 @@ class TestExitCodes:
         *[["thermo", "--method", "direct", "--alpha1", "0", "--alpha2", "1e-6", flag, value,
            "--t-count", "3", "--out", "x"] for flag, value in (("--t-max", "nan"), ("--t-max", "inf"),
                                                              ("--t-min", "nan"))],
+        *[["bounds", "--units", "si", flag, value] for flag, value in (("--b-field", "nan"), ("--b-field", "inf"),
+                                                                     ("--n-level", "nan"), ("--n-level", "1e400"))],
     ])
     def test_nonfinite_parameter_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

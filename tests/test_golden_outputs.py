@@ -7,6 +7,7 @@ explained and re-recorded on purpose.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -53,3 +54,18 @@ def test_output_digest(name, tmp_path):
         written = tmp_path / "out.csv"
         assert main(argv + ["--out", str(written)]) == 0
     assert hashlib.sha256(written.read_bytes()).hexdigest() == digest
+
+
+# an SI config file plus one overriding flag: pins the merge of defaults,
+# file values and flags byte for byte (recorded before the option table
+# replaced the hand-typed flags)
+CONFIG_RUN = {"units": "si", "dim": 3, "n_max": 6, "m": 9.1093837015e-31, "omega": 1e11, "alpha1": 1e-60}
+CONFIG_DIGEST = "3366537540aa6b17aa97249567439be4e956f5d3a80c95049aef9d0de52fcb6d"
+
+
+def test_config_file_digest(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CONFIG_RUN))
+    written = tmp_path / "out.csv"
+    assert main(["spectrum", "--config", str(cfg_path), "--alpha2", "1e-30", "--out", str(written)]) == 0
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == CONFIG_DIGEST
