@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    MAX_COUNT,
     NumericError,
     OutOfRegimeError,
     ParameterDomainError,
@@ -95,7 +96,7 @@ CHOICES = {
     "t_scale": ("linear", "log"),
     "method": th.METHODS + ("all",),
 }
-LIMITS = {"dim": 2**53, "l": 2**53, "n_min": 2**53, "n_max": 2**53, "t_count": 10_000}
+LIMITS = {"dim": MAX_COUNT, "l": MAX_COUNT, "n_min": MAX_COUNT, "n_max": MAX_COUNT, "t_count": 10_000}
 MAX_ROWS = 1_000_000  # spectrum table rows
 MAX_P_COUNT = 1_000_000
 MAX_WAVEFUNCTION_N = 5000  # its norm check solves an (n + 1)-node rule in O(n^3)
@@ -122,13 +123,15 @@ def load_config(path: str) -> dict:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config-file values, then flags.
+    """Defaults, then preset defaults, then config-file values, then flags.
 
     A config value is read as the text of its flag: JSON null leaves the key
     unset, true/false, lists and objects are rejected, and 3.0 for an integer
     key fails just as ``--dim 3.0`` does.
     """
-    values = {k: v for k, v in (load_config(args.config) if args.config else {}).items() if v is not None}
+    # --figure1's point is the large-n saturation, so its table reaches n = 1e4 by default
+    values = {"n_max": 10_000} if getattr(args, "figure1", False) else {}
+    values.update({k: v for k, v in (load_config(args.config) if args.config else {}).items() if v is not None})
     values.update({k: v for k in RunConfig.__dataclass_fields__ if (v := getattr(args, k, None)) is not None})
     for key, value in values.items():
         kind = _field_type(key)
@@ -182,11 +185,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     if args.figure1:
         deformations = [derive_params(0.0, 0.0, cfg), params]
-        # the preset's point is the large-n saturation, so reach at least 1e4
-        # unless the range was set explicitly
-        n_max = run.n_max if args.n_max is not None else max(run.n_max, 10_000)
-        grid = np.array(sorted({int(v) for v in np.geomspace(1, max(n_max, 2), 60)}))
-        columns = ["n"] + [f"dE[alpha1={p.alpha1:g},alpha2={p.alpha2:g}]" for p in deformations]
+        grid = np.array(sorted({int(v) for v in np.geomspace(1, max(run.n_max, 2), 60)}))
+        columns = ["n"] + [f"dE[alpha1={p.alpha1:g}][alpha2={p.alpha2:g}]" for p in deformations]
         spacings = [(_energies(grid + 1, 0, 1, p, cfg) - _energies(grid, 0, 1, p, cfg)).tolist()
                     for p in deformations]
         rows = list(zip(grid.tolist(), *spacings))

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the two argument checks that raise it."""
+
+MAX_COUNT = 2**53  # largest count accepted anywhere: every integer up to it is exact in a double
 
 
 class SdsError(Exception):
@@ -13,7 +15,7 @@ class UnitSystemError(SdsError, ValueError):
     """An operation that is only meaningful in one unit system got the other."""
 
 
-class QuantumNumberError(SdsError, ValueError):
+class QuantumNumberError(ParameterDomainError):
     """Quantum numbers violate their admissibility constraints (parity, ordering)."""
 
 
@@ -31,3 +33,17 @@ class OutOfRegimeError(SdsError, ArithmeticError):
 
 class NumericError(SdsError, RuntimeError):
     """An iterative numerical procedure failed to converge."""
+
+
+def check_count(value, what: str, low: int = 0) -> int:
+    """``value`` as an int if it is an integer in [low, 2^53] (3.0 counts as 3).  The bounds are
+    compared first: they are false for NaN and reject +-inf and huge ints before ``int()`` can raise."""
+    if not (low <= value <= MAX_COUNT and value == int(value)):
+        raise QuantumNumberError(f"{what} must be a finite integer in [{low}, 2^53], got {value!r}")
+    return int(value)
+
+
+def check_above(value, bound: float, what: str) -> None:
+    """Require value > bound; a NaN value fails the comparison and is rejected."""
+    if not value > bound:
+        raise ParameterDomainError(f"{what} must be greater than {bound}, got {value!r}")

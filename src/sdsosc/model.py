@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterDomainError, UnitSystemError
+from .errors import ParameterDomainError, UnitSystemError, check_count
 
 # CODATA 2018 values, SI
 SPEED_OF_LIGHT = 299792458.0          # m s^-1
@@ -48,8 +48,7 @@ class OscillatorConfig:
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0 for x in (self.m, self.omega, self.c, self.hbar)):
             raise ParameterDomainError("m, omega, c and hbar must all be finite and positive")
-        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 1:
-            raise ParameterDomainError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", check_count(self.dim, "dim", low=1))
         if self.units not in (NATURAL, SI):
             raise ParameterDomainError(f"unknown unit system {self.units!r}")
 
@@ -95,14 +94,22 @@ def derive_params(alpha1: float, alpha2: float, cfg: OscillatorConfig) -> Deform
 
     k_squared = hbar^2 (alpha1 + m^2 w^2 alpha2) is computed directly so it is
     valid at alpha1 = 0; the gamma route exists only as a cross-check identity.
+    Squares are products, so that leaving double precision gives inf or 0, not OverflowError;
+    (m w)^2 and (m c)^2 stay positive because ``level_coefficients`` and ``nu_exponent`` divide by them.
     """
     if not all(math.isfinite(a) and a >= 0 for a in (alpha1, alpha2)):
         raise ParameterDomainError(
             f"deformation parameters must be finite and nonnegative, got ({alpha1}, {alpha2})"
         )
-    mw2 = (cfg.m * cfg.omega) ** 2
-    k_squared = cfg.hbar**2 * (alpha1 + mw2 * alpha2)
-    theta = (alpha1 / mw2 + alpha2) / cfg.c**2
+    mw, mc = cfg.m * cfg.omega, cfg.m * cfg.c
+    mw2 = mw * mw
+    if not (0.0 < mw2 < math.inf and 0.0 < mc * mc < math.inf):
+        raise ParameterDomainError(f"(m omega)^2 and (m c)^2 must be finite and positive, got m = {cfg.m}, "
+                                   f"omega = {cfg.omega}")
+    k_squared = cfg.hbar * cfg.hbar * (alpha1 + mw2 * alpha2)
+    theta = (alpha1 / mw2 + alpha2) / (cfg.c * cfg.c)
+    if not (math.isfinite(k_squared) and math.isfinite(theta)):
+        raise ParameterDomainError(f"k^2 = {k_squared} and theta = {theta} must be finite")
     if alpha1 > 0:
         gamma_abs_squared: Optional[float] = 1.0 + mw2 * alpha2 / alpha1
         lam: Optional[float] = alpha1 / (mw2 * alpha2 + alpha1)
@@ -215,8 +222,7 @@ def deformation_bounds(cfg: OscillatorConfig, b_field: float, n_level: int) -> P
         raise UnitSystemError("deformation bounds are dimensional; use an SI configuration")
     if not 0 < b_field < math.inf:
         raise ParameterDomainError(f"magnetic field strength must be finite and positive, got {b_field}")
-    if not (1 <= n_level < math.inf and int(n_level) == n_level):
-        raise ParameterDomainError(f"n_level must be a finite positive integer, got {n_level}")
+    n_level = check_count(n_level, "n_level", low=1)
     try:
         theta_si = _theta_bound_si(b_field, n_level)
         theta_exact = theta_si * SPEED_OF_LIGHT**2      # in c^-2 kg^-2 m^-2 s^2
@@ -236,7 +242,7 @@ def deformation_bounds(cfg: OscillatorConfig, b_field: float, n_level: int) -> P
         raise ParameterDomainError(f"the bounds at b_field = {b_field} T, n_level = {n_level} are not finite")
     return PenningTrapBounds(
         b_field=b_field,
-        n_level=int(n_level),
+        n_level=n_level,
         theta_exact=theta_exact,
         theta_bound=theta_bound,
         delta_x_bound=delta_x,

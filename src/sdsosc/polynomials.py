@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterDomainError
+from .errors import NumericError, check_above, check_count
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -25,8 +25,7 @@ LN2PI = math.log(2.0 * math.pi)
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0 (the C library's lgamma, a few ulp accurate)."""
-    if x <= 0.0:
-        raise ParameterDomainError(f"log_gamma requires x > 0, got {x}")
+    check_above(x, 0.0, "log_gamma argument")
     return math.lgamma(x)
 
 
@@ -36,10 +35,8 @@ def gegenbauer(n: int, nu: float, x):
     Accepts scalars or numpy arrays for ``x``.  Requires nu > -1/2; n = 0
     gives 1 and n = 1 gives 2 nu x.
     """
-    if n < 0 or int(n) != n:
-        raise ParameterDomainError(f"degree must be a nonnegative integer, got {n}")
-    if nu <= -0.5:
-        raise ParameterDomainError(f"gegenbauer requires nu > -1/2, got {nu}")
+    n = check_count(n, "degree")
+    check_above(nu, -0.5, "gegenbauer nu")
     if n == 0:
         return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
@@ -51,10 +48,9 @@ def gegenbauer(n: int, nu: float, x):
 
 def jacobi(n: int, a: float, b: float, z):
     """Jacobi polynomial P_n^(a,b)(z), a, b > -1, by the three-term recurrence."""
-    if n < 0 or int(n) != n:
-        raise ParameterDomainError(f"degree must be a nonnegative integer, got {n}")
-    if a <= -1.0 or b <= -1.0:
-        raise ParameterDomainError(f"jacobi requires a, b > -1, got ({a}, {b})")
+    n = check_count(n, "degree")
+    check_above(a, -1.0, "jacobi a")
+    check_above(b, -1.0, "jacobi b")
     if n == 0:
         return np.ones_like(z) if isinstance(z, np.ndarray) else 1.0
     prev = np.ones_like(z) if isinstance(z, np.ndarray) else 1.0
@@ -70,8 +66,7 @@ def jacobi(n: int, a: float, b: float, z):
 
 def hermite(n: int, x):
     """Physicists' Hermite polynomial H_n(x); H_0 = 1, H_1 = 2x."""
-    if n < 0 or int(n) != n:
-        raise ParameterDomainError(f"degree must be a nonnegative integer, got {n}")
+    n = check_count(n, "degree")
     if n == 0:
         return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
     prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
@@ -82,9 +77,9 @@ def hermite(n: int, x):
 
 
 def gegenbauer_norm_log(n: int, nu: float) -> float:
-    """ln of int_{-1}^{1} (1-x^2)^(nu-1/2) [C_n^nu(x)]^2 dx (closed form)."""
-    if nu <= -0.5 or nu == 0.0:
-        raise ParameterDomainError(f"norm requires nu > -1/2 and nu != 0, got {nu}")
+    """ln of int_{-1}^{1} (1-x^2)^(nu-1/2) [C_n^nu(x)]^2 dx (closed form); nu > 0, where ln Gamma(nu) is real."""
+    n = check_count(n, "degree")
+    check_above(nu, 0.0, "gegenbauer norm nu")
     return (
         LNPI
         + (1.0 - 2.0 * nu) * LN2
@@ -97,8 +92,9 @@ def gegenbauer_norm_log(n: int, nu: float) -> float:
 
 def jacobi_norm_log(n: int, a: float, b: float) -> float:
     """ln of int_{-1}^{1} (1-y)^a (1+y)^b [P_n^(a,b)(y)]^2 dy (closed form)."""
-    if a <= -1.0 or b <= -1.0:
-        raise ParameterDomainError(f"norm requires a, b > -1, got ({a}, {b})")
+    n = check_count(n, "degree")
+    check_above(a, -1.0, "jacobi norm a")
+    check_above(b, -1.0, "jacobi norm b")
     return (
         (a + b + 1.0) * LN2
         - math.log(2.0 * n + a + b + 1.0)
@@ -203,10 +199,9 @@ def gauss_jacobi_scaled(n: int, a: float, b: float):
     recurrence (tolerance 1e-14, at most 100 sweeps); weights come from the
     Christoffel function, which stays O(1) for any exponents.
     """
-    if n < 1 or int(n) != n:
-        raise ParameterDomainError(f"rule size must be a positive integer, got {n}")
-    if a <= -1.0 or b <= -1.0:
-        raise ParameterDomainError(f"quadrature requires a, b > -1, got ({a}, {b})")
+    n = check_count(n, "rule size", low=1)
+    check_above(a, -1.0, "quadrature a")
+    check_above(b, -1.0, "quadrature b")
     alpha, beta, log_mass = _jacobi_recurrence(n + 1, a, b)
     if n == 1:
         nodes = np.array([alpha[0]])

@@ -19,6 +19,8 @@ from .errors import (
     ParameterDomainError,
     UndeformedLimitError,
     UnsupportedRepresentationError,
+    check_above,
+    check_count,
 )
 from .model import DeformationParams, OscillatorConfig, level_radicand, level_shift_first_order
 from .polynomials import (
@@ -27,7 +29,6 @@ from .polynomials import (
     LNPI,
     gauss_jacobi_scaled,
     gegenbauer,
-    gegenbauer_norm_log,
     hermite,
     log_gamma,
     log_term_sum,
@@ -57,7 +58,7 @@ def energy_1d(n: int, params: DeformationParams, cfg: OscillatorConfig, branch: 
     at zero deformation this reduces to the undeformed relativistic oscillator
     m c^2 sqrt(1 + 2 w hbar n / m c^2).
     """
-    _check_level(n)
+    n = check_count(n, "quantum number")
     _check_branch(branch)
     return branch * cfg.mc2 * math.sqrt(level_radicand(n, 0, 1, params, cfg))
 
@@ -69,7 +70,7 @@ def energy_1d_oracle(n: int, params: DeformationParams, cfg: OscillatorConfig) -
     eps, then E = sqrt(m^2 c^4 + c^2 (eps - m hbar w)).  Must agree with
     ``energy_1d`` to 1e-12 relative.
     """
-    _check_level(n)
+    n = check_count(n, "quantum number")
     nu = nu_exponent(params, cfg)
     eps = params.k_squared * (n * (n + 2.0 * nu) + nu)
     mc2 = cfg.mc2
@@ -95,7 +96,7 @@ def energy_deviation_first_order(
     the D = 1, l = 0 case of ``level_shift_first_order``; the pair sums to the
     exact energy up to O(theta^2).
     """
-    _check_level(n)
+    n = check_count(n, "quantum number")
     e0, shift = level_shift_first_order(n, 0, 1, params, cfg)
     return float(e0), float(shift)
 
@@ -106,7 +107,7 @@ def energy_nonrelativistic(n: int, params: DeformationParams, cfg: OscillatorCon
     Matches energy_1d(n) - m c^2 up to O(1/c^2).  Note there is no hbar w / 2
     zero-point term in this convention: the n = 0 level sits exactly at zero.
     """
-    _check_level(n)
+    n = check_count(n, "quantum number")
     return n * cfg.hbar * cfg.omega * (1.0 + n * params.k_squared / (2.0 * cfg.m * cfg.omega * cfg.hbar))
 
 
@@ -146,7 +147,7 @@ class QuantumState1D:
 
 
 def state_1d(n: int, params: DeformationParams, cfg: OscillatorConfig, branch: int = +1) -> QuantumState1D:
-    _check_level(n)
+    n = check_count(n, "quantum number")
     _check_branch(branch)
     nu = nu_exponent(params, cfg)
     if params.alpha2 > 0:
@@ -171,7 +172,7 @@ def wavefunction_1d(n: int, params: DeformationParams, cfg: OscillatorConfig, p)
     The envelope prefactor is evaluated in log space; only alpha2 > 0 admits
     this bounded-momentum representation.
     """
-    _check_level(n)
+    n = check_count(n, "quantum number")
     pmax = momentum_cutoff(params)
     arr = np.asarray(p, dtype=float)
     if np.any(np.abs(arr) >= pmax):
@@ -189,8 +190,9 @@ def wavefunction_1d_undeformed(n: int, cfg: OscillatorConfig, p):
     (2^n n!)^(-1/2) (pi m w hbar)^(-1/4) exp(-p^2 / 2 m w hbar) H_n(p / sqrt(m w hbar)),
     the pointwise alpha2 -> 0 limit of ``wavefunction_1d``.
     """
-    _check_level(n)
+    n = check_count(n, "quantum number")
     sigma = cfg.m * cfg.omega * cfg.hbar
+    check_above(sigma, 0.0, "m omega hbar")  # the product underflows for tiny SI m omega
     arr = np.asarray(p, dtype=float)
     log_pref = -0.5 * (n * LN2 + log_gamma(n + 1.0)) - 0.25 * math.log(math.pi * sigma)
     values = np.exp(log_pref - arr * arr / (2.0 * sigma)) * np.asarray(hermite(n, arr / math.sqrt(sigma)))
@@ -205,6 +207,7 @@ def wavefunction_norm_1d(n: int, params: DeformationParams, cfg: OscillatorConfi
     degree 2n, so the (n + 1)-node rule is exact; the weight mass, the
     normalization and the polynomial scale are composed in log space.
     """
+    n = check_count(n, "quantum number")
     nu = nu_exponent(params, cfg)
     nodes, weights, log_mass = gauss_jacobi_scaled(n + 1, nu - 0.5, nu - 0.5)
     poly = np.asarray(gegenbauer(n, nu, nodes))
@@ -230,11 +233,6 @@ def normalization_identity_residual(n: int, nu: float) -> float:
         # closed-form weighted norm of the polynomial
         (1.0, LNPI), (1.0 - 2.0 * nu, LN2), (1.0, lg_2nun), (-1.0, lg_np1), (-1.0, ln_nnu), (-2.0, lg_nu),
     ])
-
-
-def _check_level(n) -> None:
-    if int(n) != n or n < 0:
-        raise ParameterDomainError(f"quantum number must be a nonnegative integer, got {n!r}")
 
 
 def _check_branch(branch) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, QuantumNumberError
+from .errors import ParameterDomainError, QuantumNumberError, check_count
 from .model import DeformationParams, OscillatorConfig, level_radicand, level_shift_first_order
 from .polynomials import LN2, gauss_jacobi_scaled, jacobi, log_gamma, log_term_sum, log_weighted_dot
 from .spectrum1d import _check_branch, momentum_cutoff, nu_exponent
@@ -25,14 +25,11 @@ from .tables import SpectrumTable
 def radial_exponents(
     params: DeformationParams, cfg: OscillatorConfig, l: int, dim: int
 ) -> tuple[float, float, float]:
-    """(mu, a, b) for the radial solution; mu equals the 1D exponent nu."""
-    _check_orbital(l, dim)
+    """(mu, a, b) for the radial solution; mu equals the 1D exponent nu.  Both exponents exceed -1:
+    a = mu - 1/2 >= 0 as mu = max(g, 1 - g) >= 1/2, and b = l - 1 + D/2 >= -1/2 as l >= 0, D >= 1."""
+    l, dim = check_count(l, "orbital number"), check_count(dim, "dimension", low=1)
     mu = nu_exponent(params, cfg)
-    a = mu - 0.5
-    b = l - 1.0 + dim / 2.0
-    if a <= -1.0 or b <= -1.0:
-        raise ParameterDomainError(f"radial exponents out of range: a={a}, b={b}")
-    return mu, a, b
+    return mu, mu - 0.5, l - 1.0 + dim / 2.0
 
 
 def energy_nd(
@@ -45,7 +42,7 @@ def energy_nd(
     with n = 2 n_r + l.  The l-dependent piece lifts the undeformed degeneracy;
     at D = 1, l = 0 the bracket reduces to n^2 and the 1D spectrum returns.
     """
-    _check_pair(n, l, dim)
+    n, l, dim = _check_pair(n, l, dim)
     _check_branch(branch)
     return branch * cfg.mc2 * math.sqrt(level_radicand(n, l, dim, params, cfg))
 
@@ -61,8 +58,7 @@ def energy_nd_oracle(
     condition confirms it.  Must agree with energy_nd(2 n_r + l, l, ...) to
     1e-12 relative.
     """
-    if int(nr) != nr or nr < 0:
-        raise QuantumNumberError(f"radial quantum number must be a nonnegative integer, got {nr!r}")
+    nr = check_count(nr, "radial quantum number")
     mu, a, b = radial_exponents(params, cfg, l, dim)
     eps_prime = params.k_squared * (4.0 * nr * (nr + a + b + 1.0) + (2.0 * l + dim) * mu + l)
     mc2 = cfg.mc2
@@ -77,7 +73,7 @@ def energy_deviation_first_order_nd(
     Generalizes the one-dimensional first-order expansion with the bracket
     n^2 + (D - 1) n - l (l + D - 2) in place of n^2.
     """
-    _check_pair(n, l, dim)
+    n, l, dim = _check_pair(n, l, dim)
     e0, shift = level_shift_first_order(n, l, dim, params, cfg)
     return float(e0), float(shift)
 
@@ -123,8 +119,9 @@ class QuantumStateND:
 def state_nd(
     nr: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig, branch: int = +1
 ) -> QuantumStateND:
+    nr = check_count(nr, "radial quantum number")
+    n, l, dim = _check_pair(2 * nr + l, l, dim)
     mu, a, b = radial_exponents(params, cfg, l, dim)
-    n = 2 * nr + l
     if params.alpha2 > 0:
         log_norm = log_norm_constant_nd(nr, l, dim, mu, params.alpha2)
     else:
@@ -152,8 +149,7 @@ def radial_wavefunction(
     phi(p) = N (1 - alpha2 p^2)^(mu/2) (alpha2 p^2)^(l/2) P_{n_r}^(a,b)(2 alpha2 p^2 - 1)
     on 0 <= p < 1/sqrt(alpha2); requires the bounded representation alpha2 > 0.
     """
-    if int(nr) != nr or nr < 0:
-        raise QuantumNumberError(f"radial quantum number must be a nonnegative integer, got {nr!r}")
+    nr = check_count(nr, "radial quantum number")
     pmax = momentum_cutoff(params)
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= pmax):
@@ -184,19 +180,20 @@ def _radial_measure_log_const(l: int, dim: int, mu: float, alpha2: float) -> flo
 
 
 def radial_inner_product(
-    n1: int, n2: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig,
-    size: int | None = None,
+    n1: int, n2: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig
 ) -> float:
     """Inner product of two radial states under the deformed measure.
 
     z = 2 alpha2 p^2 - 1 maps the measure onto the Jacobi weight with
     exponents (mu - 1/2, l - 1 + D/2); everything scale-like, including the
     polynomial magnitudes, is composed in log space because the weight's
-    total mass overflows double precision for large mu.  Equals
-    delta_{n1 n2} for normalized states.
+    total mass overflows double precision for large mu.  The integrand
+    P_n1 P_n2 has degree n1 + n2, so the ((n1 + n2) // 2 + 1)-node rule is
+    exact.  Equals delta_{n1 n2} for normalized states.
     """
+    n1, n2 = check_count(n1, "radial quantum number"), check_count(n2, "radial quantum number")
     mu, a, b = radial_exponents(params, cfg, l, dim)
-    nodes, unit_weights, log_mass = gauss_jacobi_scaled(size or (n1 + n2 + 12), a, b)
+    nodes, unit_weights, log_mass = gauss_jacobi_scaled((n1 + n2) // 2 + 1, a, b)
     p1 = np.asarray(jacobi(n1, a, b, nodes))
     sign, log_s = log_weighted_dot(unit_weights, p1, p1 if n2 == n1 else np.asarray(jacobi(n2, a, b, nodes)))
     if sign == 0.0:
@@ -209,12 +206,9 @@ def radial_inner_product(
 
 
 def radial_norm(nr: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig) -> float:
-    """Quadrature norm of phi under the D-dimensional deformed radial measure.
-
-    The integrand [P_nr^(a,b)]^2 has degree 2 nr, so the (nr + 1)-node rule
-    is exact.
-    """
-    return radial_inner_product(nr, nr, l, dim, params, cfg, size=nr + 1)
+    """Quadrature norm of phi under the D-dimensional deformed radial measure
+    (``radial_inner_product`` of the state with itself, an (nr + 1)-node rule)."""
+    return radial_inner_product(nr, nr, l, dim, params, cfg)
 
 
 def radial_normalization_identity_residual(nr: int, l: int, dim: int, mu: float) -> float:
@@ -245,7 +239,7 @@ def angular_degeneracy(l: int, dim: int) -> int:
     Counts independent degree-l harmonics: C(D+l-1, l) - C(D+l-3, l-2);
     gives 2l + 1 at D = 3 and 1 in one dimension.
     """
-    _check_orbital(l, dim)
+    l, dim = check_count(l, "orbital number"), check_count(dim, "dimension", low=1)
     if dim == 1:
         return 1 if l <= 1 else 0
     first = math.comb(dim + l - 1, l)
@@ -273,8 +267,7 @@ def degeneracy_table(
     that row's, so with zero deformation the full oscillator degeneracy is
     restored while the deformed spectrum splits by l.
     """
-    if n_max < 0:
-        raise QuantumNumberError(f"n_max must be nonnegative, got {n_max}")
+    n_max = check_count(n_max, "n_max")
     multiplicity = [angular_degeneracy(l, dim) for l in range(n_max + 1)]
     ns, ls = level_pairs(0, n_max)
     energies = (cfg.mc2 * np.sqrt(level_radicand(ns, ls, dim, params, cfg))).tolist()
@@ -298,18 +291,12 @@ def degeneracy_table(
     )
 
 
-def _check_orbital(l, dim) -> None:
-    if int(dim) != dim or dim < 1:
-        raise QuantumNumberError(f"dimension must be a positive integer, got {dim!r}")
-    if int(l) != l or l < 0:
-        raise QuantumNumberError(f"orbital number must be a nonnegative integer, got {l!r}")
-
-
-def _check_pair(n, l, dim) -> None:
-    _check_orbital(l, dim)
-    if int(n) != n or n < 0:
-        raise QuantumNumberError(f"principal number must be a nonnegative integer, got {n!r}")
+def _check_pair(n, l, dim) -> tuple[int, int, int]:
+    """(n, l, dim) as ints, once they are counts with l <= n and n - l even."""
+    l, dim = check_count(l, "orbital number"), check_count(dim, "dimension", low=1)
+    n = check_count(n, "principal number")
     if l > n:
         raise QuantumNumberError(f"orbital number {l} exceeds principal number {n}")
     if (n - l) % 2 != 0:
         raise QuantumNumberError(f"n - l must be even (n = 2 n_r + l), got n={n}, l={l}")
+    return n, l, dim

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import OutOfRegimeError, NumericError, ParameterDomainError
+from .errors import OutOfRegimeError, NumericError, ParameterDomainError, check_above, check_count
 from .model import BOLTZMANN, DeformationParams, OscillatorConfig, NATURAL, level_coefficients
 from .parallel import parallel_map
 
@@ -52,13 +52,10 @@ class ThermoParams:
         return 3.0 * (self.kB * t) ** 2 + self.d0
 
 
-def thermo_params(
-    params: DeformationParams, cfg: OscillatorConfig, l: int = 0, kB: float | None = None
-) -> ThermoParams:
-    if int(l) != l or l < 0:
-        raise ParameterDomainError(f"orbital number must be a nonnegative integer, got {l!r}")
-    if kB is None:
-        kB = 1.0 if cfg.units == NATURAL else BOLTZMANN
+def thermo_params(params: DeformationParams, cfg: OscillatorConfig, l: int = 0) -> ThermoParams:
+    """Spectrum coefficients at orbital number l; kB is 1 in natural units, CODATA's in SI."""
+    l = check_count(l, "orbital number")
+    kB = 1.0 if cfg.units == NATURAL else BOLTZMANN
     dim = cfg.dim
     b, a3 = level_coefficients(params, cfg)
     a2 = b + a3 * (dim - 1.0)
@@ -66,7 +63,7 @@ def thermo_params(
     if a1 <= 0.0:
         raise ParameterDomainError(f"ground coefficient a1 = {a1} <= 0 (deformation too large for l = {l})")
     d0 = 0.5 * (dim - 1.0) * cfg.hbar * cfg.omega * cfg.mc2
-    return ThermoParams(a1=a1, a2=a2, a3=a3, l=int(l), dim=dim, kB=kB, theta=params.theta, d0=d0)
+    return ThermoParams(a1=a1, a2=a2, a3=a3, l=l, dim=dim, kB=kB, theta=params.theta, d0=d0)
 
 
 def _check_temperature(t: float) -> None:
@@ -107,8 +104,7 @@ def partition_moments(t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: fl
       rho_j <= 1/2 the blocks after j add at most block j.
     """
     _check_temperature(t)
-    if not tol > 0.0:
-        raise ParameterDomainError(f"tol must be positive, got {tol}")
+    check_above(tol, 0.0, "tol")
     beta = cfg.mc2 / (tp.kB * t)
     if not math.isfinite(beta * beta):
         raise ParameterDomainError(f"temperature {t} is too small: (m c^2 / kB T)^2 overflows")
@@ -206,8 +202,7 @@ def partition_em_series(t: float, tp: ThermoParams, cfg: OscillatorConfig, n_ter
     the direct sum must sit within the estimate.
     """
     _check_temperature(t)
-    if n_terms < 1:
-        raise ParameterDomainError("n_terms must be at least 1")
+    n_terms = check_count(n_terms, "n_terms", low=1)
     x = tp.kB * t
     mc2 = cfg.mc2
     disc = tp.a2 * tp.a2 - 4.0 * tp.a1 * tp.a3
@@ -324,7 +319,7 @@ class ThermoCurve:
 
 
 def thermo_curve(t_grid: Sequence[float], tp: ThermoParams, cfg: OscillatorConfig,
-                 methods: Sequence[str] = ("highT",), tol: float = 1e-10) -> ThermoCurve:
+                 methods: Sequence[str] = ("highT",)) -> ThermoCurve:
     """Tabulate all quantities per requested method over the temperature grid.
 
     ``direct`` gives U, C and S as exact canonical moments of the certified sum;
@@ -343,7 +338,7 @@ def thermo_curve(t_grid: Sequence[float], tp: ThermoParams, cfg: OscillatorConfi
             try:
                 ok, f = True, None
                 if method == "direct":
-                    z, f, u, c, s = partition_moments(t, tp, cfg, tol)[:5]
+                    z, f, u, c, s = partition_moments(t, tp, cfg)[:5]
                 elif method == "em":
                     z = partition_em_series(t, tp, cfg).value
                     u, c, s = _numeric_ucs("em", t, tp, cfg)

@@ -76,6 +76,14 @@ class TestSpectrumCommand:
         assert abs(deformed[-1] - 0.1) / 0.1 < 0.01
         assert undeformed[-1] < 0.01  # collapsing spacing without deformation
 
+    def test_figure1_config_n_max_acts_as_flag(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_max": 100}))
+        from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+        assert main(["spectrum", "--figure1", "--config", str(cfg_path), "--out", str(from_config)]) == 0
+        assert main(["spectrum", "--figure1", "--n-max", "100", "--out", str(from_flag)]) == 0
+        assert from_config.read_bytes() == from_flag.read_bytes()
+
     def test_json_format(self, capsys):
         for extra, n_rows in (((), 4), (("--dim", "3"), 6)):
             code, out, _ = run(capsys, "spectrum", "--n-max", "3", "--format", "json", *extra)
@@ -350,6 +358,12 @@ class TestExitCodes:
                                                              ("--t-min", "nan"))],
         *[["bounds", "--units", "si", flag, value] for flag, value in (("--b-field", "nan"), ("--b-field", "inf"),
                                                                      ("--n-level", "nan"), ("--n-level", "1e400"))],
+        # SI constants whose squares leave double precision
+        ["spectrum", "--units", "si", "--m", "1e-300", "--n-max", "3"],
+        ["spectrum", "--units", "si", "--omega", "1e300", "--n-max", "3"],
+        ["spectrum", "--units", "si", "--m", "1e200", "--omega", "1e200", "--n-max", "3"],
+        ["wavefunction", "--n", "0", "--units", "si", "--m", "1e-300"],
+        ["thermo", "--method", "direct", "--units", "si", "--m", "1e-300", "--t-count", "3", "--out", "x"],
     ])
     def test_nonfinite_parameter_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

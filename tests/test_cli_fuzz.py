@@ -3,9 +3,10 @@
 Hypothesis draws `spectrum`, `wavefunction`, `thermo` and `bounds` argv, some
 options as flags and some from a JSON config file, mixing valid values with
 edge values (zero, the size limits, 2^53) and invalid ones (NaN, +-inf,
-negatives, huge integers, wrong JSON types, unknown choices).  Valid draws stay
-cheap: tables of at most 2001 rows, n <= 60, t_count <= 3, and thermo in
-natural units with kBT <= 60.
+negatives, huge integers, wrong JSON types, unknown choices).  Valid SI masses
+and frequencies are drawn log-uniformly over [1e-320, 1e308], so their squares
+can leave double precision.  Valid draws stay cheap: tables of at most 2001
+rows, n <= 60, t_count <= 3, and thermo in natural units with kBT <= 60.
 
 Each example must either return 0 and leave parseable output (strict JSON, or
 CSV rows as wide as their header), return 2, 3 or 4 with exactly one stderr
@@ -14,10 +15,10 @@ exception or exit code fails the test.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
-import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -33,8 +34,9 @@ HUGE = 10**21
 # (valid values, edge and invalid values) per option; every n range of two
 # pool values is either at most 2001 rows or past the 10^6-row limit
 ALPHA = ([0.0, 1e-6, 1e-4, 0.005, 0.05], [-0.005, NAN, INF, -INF, HUGE])
-MASS = ([1.0, 9.1093837015e-31], [0.0, -1.0, NAN, INF])
-OMEGA = ([1.0, 1e11], [0.0, -1.0, NAN, -INF])
+LOG_UNIFORM = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+MASS = (LOG_UNIFORM, [0.0, -1.0, NAN, INF])
+OMEGA = (LOG_UNIFORM, [0.0, -1.0, NAN, -INF])
 DIM = ([1, 2, 3, 5], [0, -1, 2**53, 2**53 + 1, HUGE])
 L = ([0, 1, 2], [-1, 2**53 + 1, HUGE])
 N_1D = ([0, 1, 7, 60, 2000], [-1, 2**53 - 3, 2**53, 2**53 + 1, 2 * 10**6, HUGE])
@@ -71,9 +73,11 @@ def options(command, spectrum_dim):
 
 
 def pick(draw, pool):
-    """A valid value three times in four, otherwise an edge or invalid one."""
+    """A valid value three times in four, otherwise an edge or invalid one;
+    a pool side is a list of values or a strategy."""
     valid, other = pool
-    return draw(st.sampled_from(other if other and draw(st.integers(0, 3)) == 0 else valid))
+    side = other if other and draw(st.integers(0, 3)) == 0 else valid
+    return draw(side if isinstance(side, st.SearchStrategy) else st.sampled_from(side))
 
 
 def flag(name, value):
@@ -132,9 +136,7 @@ def check_output(path: Path, fmt: str):
         payload = json.loads(text, parse_constant=reject_constant)
         assert all(len(row) == len(payload["columns"]) for row in payload["rows"])
         return
-    # column names such as spectrum --figure1's dE[alpha1=0,alpha2=0] hold
-    # unquoted commas inside brackets, which a plain CSV reader splits
-    rows = [re.split(r",(?![^\[]*\])", line) for line in text.splitlines() if line and not line.startswith("#")]
+    rows = list(csv.reader(line for line in text.splitlines() if line and not line.startswith("#")))
     assert rows and all(len(row) == len(rows[0]) for row in rows)
 
 
