@@ -26,7 +26,6 @@ from .model import (
     min_uncertainties,
 )
 from .polynomials import (
-    QuadratureRule,
     gauss_jacobi_rule,
     gauss_jacobi_scaled,
     gegenbauer,
@@ -42,6 +41,7 @@ from .spectrum1d import (
     energy_1d_oracle,
     energy_deviation_first_order,
     energy_nonrelativistic,
+    inner_product_1d,
     normalization_identity_residual,
     nu_exponent,
     spacing_asymptote,
@@ -49,6 +49,7 @@ from .spectrum1d import (
     wavefunction_1d,
     wavefunction_1d_undeformed,
     wavefunction_norm_1d,
+    wavefunction_norm_1d_undeformed,
 )
 from .spectrumnd import (
     QuantumStateND,

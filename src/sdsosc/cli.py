@@ -41,7 +41,6 @@ from .model import (
     level_radicand,
     level_shift_first_order,
 )
-from .polynomials import gauss_jacobi_rule
 from .tables import SpectrumTable, format_number
 from . import spectrum1d as s1
 from . import spectrumnd as snd
@@ -100,6 +99,7 @@ LIMITS = {"dim": MAX_COUNT, "l": MAX_COUNT, "n_min": MAX_COUNT, "n_max": MAX_COU
 MAX_ROWS = 1_000_000  # spectrum table rows
 MAX_P_COUNT = 1_000_000
 MAX_WAVEFUNCTION_N = 5000  # its norm check solves an (n + 1)-node rule in O(n^3)
+SPECTRUM_OVERFLOW = "spectrum: the level radicand (k^2 / m^2 c^2) n^2 overflows double precision"
 
 
 def _field_type(key: str) -> type:
@@ -187,9 +187,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         deformations = [derive_params(0.0, 0.0, cfg), params]
         grid = np.array(sorted({int(v) for v in np.geomspace(1, max(run.n_max, 2), 60)}))
         columns = ["n"] + [f"dE[alpha1={p.alpha1:g}][alpha2={p.alpha2:g}]" for p in deformations]
-        spacings = [(_energies(grid + 1, 0, 1, p, cfg) - _energies(grid, 0, 1, p, cfg)).tolist()
-                    for p in deformations]
-        rows = list(zip(grid.tolist(), *spacings))
+        with np.errstate(all="ignore"):
+            spacings = [_energies(grid + 1, 0, 1, p, cfg) - _energies(grid, 0, 1, p, cfg) for p in deformations]
+        _check_finite(SPECTRUM_OVERFLOW, *spacings)
+        rows = list(zip(grid.tolist(), *(col.tolist() for col in spacings)))
         meta = {"kind": "spectrum-spacing", "units": run.units,
                 "asymptotes": {f"{p.alpha1:g},{p.alpha2:g}": s1.spacing_asymptote(p, cfg) for p in deformations}}
         _emit(SpectrumTable(columns=columns, rows=rows, meta=meta), run, run.out)
@@ -197,9 +198,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     ns, ls = _levels(run)
     step = 1 if run.dim == 1 else 2
-    energy = _energies(ns, ls, run.dim, params, cfg)
-    spacing = _energies(ns + step, ls, run.dim, params, cfg) - energy
-    _, dev = level_shift_first_order(ns, ls, run.dim, params, cfg)
+    with np.errstate(all="ignore"):
+        energy = _energies(ns, ls, run.dim, params, cfg)
+        spacing = _energies(ns + step, ls, run.dim, params, cfg) - energy
+        _, dev = level_shift_first_order(ns, ls, run.dim, params, cfg)
+    _check_finite(SPECTRUM_OVERFLOW, energy, spacing, dev)
     # Python scalars, not NumPy ones: json.dumps rejects np.int64
     rows = list(zip(ns.tolist(), ls.tolist(), [run.dim] * ns.size,
                     energy.tolist(), spacing.tolist(), dev.tolist()))
@@ -215,6 +218,11 @@ def _energies(ns, ls, dim: int, params, cfg: OscillatorConfig) -> np.ndarray:
     return cfg.mc2 * np.sqrt(level_radicand(ns, ls, dim, params, cfg))
 
 
+def _check_finite(what: str, *columns) -> None:
+    if not all(np.all(np.isfinite(c)) for c in columns):
+        raise NumericError(what)
+
+
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     run = build_run_config(args)
     if not 2 <= args.p_count <= MAX_P_COUNT:
@@ -224,8 +232,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     # overflow shows up as inf/NaN samples, rejected below as one error line
     with np.errstate(all="ignore"):
         grid, values, meta = _wavefunction_samples(run, args.n, args.p_count, args.undeformed)
-    if not np.all(np.isfinite(values)):
-        raise NumericError(f"wavefunction n={args.n}: psi samples overflow double precision")
+    _check_finite(f"wavefunction n={args.n}: psi samples overflow double precision", values)
     if not math.isfinite(meta["norm_check"]):
         raise NumericError(f"wavefunction n={args.n}: norm_check is {meta['norm_check']!r} in double precision")
     table = SpectrumTable(columns=("p", "psi"), rows=list(zip(grid.tolist(), np.asarray(values).tolist())), meta=meta)
@@ -240,11 +247,10 @@ def _wavefunction_samples(run: RunConfig, n: int, count: int, undeformed: bool):
         sigma = cfg.m * cfg.omega * cfg.hbar
         span = 6.0 * math.sqrt(sigma * (n + 1.0))
         grid = np.linspace(-span, span, count)
-        rule = gauss_jacobi_rule(160, 0.0, 0.0)
-        sample = np.asarray(s1.wavefunction_1d_undeformed(n, cfg, span * rule.nodes))
-        norm = span * float(np.dot(rule.weights, sample * sample))
-        meta = {"kind": "wavefunction-undeformed", "n": n, "norm_check": norm, "units": run.units}
-        return grid, s1.wavefunction_1d_undeformed(n, cfg, grid), meta
+        values = s1.wavefunction_1d_undeformed(n, cfg, grid)
+        # psi overflows at the grid's edge first (n >= 144): the caller rejects it, so skip the O(n^3) rule
+        norm = s1.wavefunction_norm_1d_undeformed(n, cfg) if np.all(np.isfinite(values)) else math.nan
+        return grid, values, {"kind": "wavefunction-undeformed", "n": n, "norm_check": norm, "units": run.units}
 
     params = derive_params(run.alpha1, run.alpha2, cfg)
     if run.alpha2 <= 0.0:
@@ -366,30 +372,14 @@ def _suite_oracles() -> list[dict]:
 
 
 def _suite_orthonormality() -> list[dict]:
-    from .polynomials import gegenbauer
-
-    checks = []
     cfg = OscillatorConfig.natural(dim=3)
     params = derive_params(0.005, 0.005, cfg)
-    nu = s1.nu_exponent(params, cfg)
-    rule = gauss_jacobi_rule(24, nu - 0.5, nu - 0.5)
-    kmax = 8
-    worst = 0.0
-    polys = [np.asarray(gegenbauer(n, nu, rule.nodes)) for n in range(kmax + 1)]
-    scale = math.exp(-0.5 * math.log(params.alpha2))
-    for n in range(kmax + 1):
-        ln_n = s1.log_norm_constant_1d(n, nu, params.alpha2)
-        for m in range(n, kmax + 1):
-            ln_m = s1.log_norm_constant_1d(m, nu, params.alpha2)
-            g = math.exp(ln_n + ln_m) * scale * rule.integrate(polys[n] * polys[m])
-            worst = max(worst, abs(g - (1.0 if n == m else 0.0)))
-    checks.append({"name": "gram-1d", "passed": worst <= 1e-8, "detail": f"worst |G - I| {worst:.3e}"})
-    worst = 0.0
-    for nr in range(5):
-        for ms in range(nr, 5):
-            g = snd.radial_inner_product(nr, ms, 1, 3, params, cfg)
-            worst = max(worst, abs(g - (1.0 if nr == ms else 0.0)))
-    checks.append({"name": "gram-nd", "passed": worst <= 1e-8, "detail": f"worst |G - I| {worst:.3e}"})
+    grams = (("gram-1d", 9, lambda n, m: s1.inner_product_1d(n, m, params, cfg)),
+             ("gram-nd", 5, lambda n, m: snd.radial_inner_product(n, m, 1, 3, params, cfg)))
+    checks = []
+    for name, size, inner in grams:
+        worst = max(abs(inner(n, m) - float(n == m)) for n in range(size) for m in range(n, size))
+        checks.append({"name": name, "passed": worst <= 1e-8, "detail": f"worst |G - I| {worst:.3e}"})
     return checks
 
 
@@ -407,6 +397,8 @@ def _suite_limits() -> list[dict]:
         es = [snd.energy_nd(n, l, 3, zero, cfg3) for l in range(n % 2, n + 1, 2)]
         worst = max(worst, max(es) - min(es))
     checks.append({"name": "undeformed-degeneracy", "passed": worst <= 1e-14, "detail": f"max split {worst:.3e}"})
+    worst = max(abs(s1.wavefunction_norm_1d_undeformed(n, cfg) - 1.0) for n in (0, 7, 20, 100))
+    checks.append({"name": "undeformed-norm", "passed": worst <= 1e-12, "detail": f"worst |norm - 1| {worst:.3e}"})
     sups = []
     for a2 in (1e-3, 1e-4, 1e-5):
         params = derive_params(0.0, a2, cfg)

@@ -12,7 +12,6 @@ themselves overflow once the envelope exponent passes ~85.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,6 +94,8 @@ def jacobi_norm_log(n: int, a: float, b: float) -> float:
     n = check_count(n, "degree")
     check_above(a, -1.0, "jacobi norm a")
     check_above(b, -1.0, "jacobi norm b")
+    if n == 0:  # the weight's mass 2^(a+b+1) B(a+1, b+1); the form below takes ln(a + b + 1)
+        return (a + b + 1.0) * LN2 + log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(a + b + 2.0)
     return (
         (a + b + 1.0) * LN2
         - math.log(2.0 * n + a + b + 1.0)
@@ -120,33 +121,6 @@ def log_term_sum(pairs) -> float:
     return sum(c * term for term, c in coeff.items())
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Jacobi nodes/weights for the weight (1-y)^a (1+y)^b on [-1, 1].
-
-    A rule of size N integrates polynomials of degree <= 2N - 1 exactly
-    against its weight.  ``log_mass`` is ln of the total weight mass
-    2^(a+b+1) B(a+1, b+1); for strongly asymmetric exponents that mass
-    overflows double precision and only the scaled interface
-    (``gauss_jacobi_scaled``) is usable.  Immutable; safe to share across
-    threads.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    a: float
-    b: float
-    log_mass: float
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values sampled at ``nodes``."""
-        return float(np.dot(self.weights, values))
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-
 def _jacobi_recurrence(n: int, a: float, b: float):
     """Coefficients alpha_k, beta_k of the measure normalized to unit mass,
     plus ln of the true mass 2^(a+b+1) B(a+1, b+1)."""
@@ -155,7 +129,7 @@ def _jacobi_recurrence(n: int, a: float, b: float):
     apb = a + b
     alpha[0] = (b - a) / (apb + 2.0)
     beta[0] = 1.0
-    log_mass = (apb + 1.0) * LN2 + log_gamma(a + 1.0) + log_gamma(b + 1.0) - log_gamma(apb + 2.0)
+    log_mass = jacobi_norm_log(0, a, b)
     if n > 1:
         beta[1] = 4.0 * (a + 1.0) * (b + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
     for k in range(1, n):
@@ -246,8 +220,18 @@ def log_weighted_dot(weights, u, v) -> tuple[float, float]:
     return math.copysign(1.0, s), math.log(abs(s)) + math.log(su) + math.log(sv)
 
 
-def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """N-point Gauss-Jacobi rule with true-scale weights.
+def scaled_dot(weights, u, v, log_scale: float) -> float:
+    """exp(log_scale) * sum_i w_i u_i v_i through ``log_weighted_dot``, so that
+    neither the products nor the scale overflow on the way; +-inf once the
+    result itself leaves double precision."""
+    sign, log_s = log_weighted_dot(weights, u, v)
+    log_value = log_scale + log_s
+    return math.copysign(math.exp(log_value) if log_value < 709.78 else math.inf, sign)
+
+
+def gauss_jacobi_rule(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the N-point Gauss-Jacobi rule with true-scale weights,
+    the format of numpy's ``leggauss`` and ``hermgauss``.
 
     Raises when the weight's total mass is not representable in double
     precision; such cases must go through ``gauss_jacobi_scaled``.
@@ -255,8 +239,6 @@ def gauss_jacobi_rule(n: int, a: float, b: float) -> QuadratureRule:
     nodes, unit_weights, log_mass = gauss_jacobi_scaled(n, a, b)
     mass = math.exp(log_mass) if log_mass < 709.0 else math.inf
     if not (0.0 < mass < math.inf):
-        raise NumericError(
-            f"total weight mass exp({log_mass:.1f}) for (a, b) = ({a}, {b}) is not "
-            "representable; use gauss_jacobi_scaled"
-        )
-    return QuadratureRule(nodes=nodes, weights=unit_weights * mass, a=a, b=b, log_mass=log_mass)
+        raise NumericError(f"total weight mass exp({log_mass:.1f}) for (a, b) = ({a}, {b}) is not "
+                           "representable; use gauss_jacobi_scaled")
+    return nodes, unit_weights * mass

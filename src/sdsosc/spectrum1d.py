@@ -4,8 +4,9 @@ Closed-form spectrum, normalized bounded-momentum wavefunctions built on
 Gegenbauer polynomials, the level-spacing asymptote, the first-order
 deformation shift, and the nonrelativistic limit.  Every closed form has an
 independent check: the energies against the quantization-condition route
-(``energy_1d_oracle``), the normalization constants against Gauss-Jacobi
-quadrature and against the log-space identity residual.
+(``energy_1d_oracle``), the normalization constants against exact Gauss-Jacobi
+(Gauss-Hermite when undeformed) quadrature and against the log-space identity
+residual.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .polynomials import (
     hermite,
     log_gamma,
     log_term_sum,
-    log_weighted_dot,
+    scaled_dot,
 )
 
 
@@ -199,22 +200,40 @@ def wavefunction_1d_undeformed(n: int, cfg: OscillatorConfig, p):
     return float(values) if np.isscalar(p) or np.ndim(p) == 0 else values
 
 
-def wavefunction_norm_1d(n: int, params: DeformationParams, cfg: OscillatorConfig) -> float:
-    """Quadrature norm of psi_n under the deformed measure (independent oracle).
+def inner_product_1d(n1: int, n2: int, params: DeformationParams, cfg: OscillatorConfig) -> float:
+    """Inner product of two states under the deformed measure (independent oracle).
 
-    Substituting u = sqrt(alpha2) p maps the measure onto the Gauss-Jacobi
-    weight with exponents (nu - 1/2, nu - 1/2).  The integrand [C_n^nu]^2 has
-    degree 2n, so the (n + 1)-node rule is exact; the weight mass, the
-    normalization and the polynomial scale are composed in log space.
+    u = sqrt(alpha2) p maps the measure onto the Gauss-Jacobi weight with
+    exponents (nu - 1/2, nu - 1/2); the ((n1 + n2) // 2 + 1)-node rule is exact
+    for C_n1 C_n2, and every scale is composed in log space.  Equals delta_{n1 n2}.
     """
-    n = check_count(n, "quantum number")
+    n1, n2 = check_count(n1, "quantum number"), check_count(n2, "quantum number")
+    momentum_cutoff(params)  # raises at alpha2 = 0, where the measure has no bounded form
     nu = nu_exponent(params, cfg)
-    nodes, weights, log_mass = gauss_jacobi_scaled(n + 1, nu - 0.5, nu - 0.5)
-    poly = np.asarray(gegenbauer(n, nu, nodes))
-    _, log_s = log_weighted_dot(weights, poly, poly)
-    log_l = log_norm_constant_1d(n, nu, params.alpha2)
-    log_norm = 2.0 * log_l - 0.5 * math.log(params.alpha2) + log_mass + log_s
-    return math.exp(log_norm) if log_norm < 709.78 else math.inf  # beyond double range
+    nodes, weights, log_mass = gauss_jacobi_scaled((n1 + n2) // 2 + 1, nu - 0.5, nu - 0.5)
+    p1 = np.asarray(gegenbauer(n1, nu, nodes))
+    p2 = p1 if n2 == n1 else np.asarray(gegenbauer(n2, nu, nodes))
+    log_l = log_norm_constant_1d(n1, nu, params.alpha2) + log_norm_constant_1d(n2, nu, params.alpha2)
+    return scaled_dot(weights, p1, p2, log_l - 0.5 * math.log(params.alpha2) + log_mass)
+
+
+def wavefunction_norm_1d(n: int, params: DeformationParams, cfg: OscillatorConfig) -> float:
+    """Quadrature norm of psi_n under the deformed measure (``inner_product_1d``
+    of the state with itself, an (n + 1)-node rule)."""
+    return inner_product_1d(n, n, params, cfg)
+
+
+def wavefunction_norm_1d_undeformed(n: int, cfg: OscillatorConfig) -> float:
+    """Quadrature norm of the undeformed psi_n: with p = sqrt(m w hbar) x it is
+    sqrt(m w hbar) int dx e^(-x^2) [e^(x^2) psi^2], the bracket a polynomial of
+    degree 2n, so the (n + 1)-node Gauss-Hermite rule is exact."""
+    from numpy.polynomial.hermite import hermgauss  # ~5 ms of import, paid only here
+
+    n = check_count(n, "quantum number")
+    sigma = cfg.m * cfg.omega * cfg.hbar
+    x, w = hermgauss(n + 1)
+    psi = np.asarray(wavefunction_1d_undeformed(n, cfg, math.sqrt(sigma) * x))  # checks sigma > 0
+    return scaled_dot(w * np.exp(x * x), psi, psi, 0.5 * math.log(sigma))
 
 
 def normalization_identity_residual(n: int, nu: float) -> float:

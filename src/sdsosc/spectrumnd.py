@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, QuantumNumberError, check_count
 from .model import DeformationParams, OscillatorConfig, level_radicand, level_shift_first_order
-from .polynomials import LN2, gauss_jacobi_scaled, jacobi, log_gamma, log_term_sum, log_weighted_dot
+from .polynomials import LN2, gauss_jacobi_scaled, jacobi, log_gamma, log_term_sum, scaled_dot
 from .spectrum1d import _check_branch, momentum_cutoff, nu_exponent
 from .tables import SpectrumTable
 
@@ -192,17 +192,13 @@ def radial_inner_product(
     exact.  Equals delta_{n1 n2} for normalized states.
     """
     n1, n2 = check_count(n1, "radial quantum number"), check_count(n2, "radial quantum number")
+    momentum_cutoff(params)  # raises at alpha2 = 0, where the measure has no bounded form
     mu, a, b = radial_exponents(params, cfg, l, dim)
     nodes, unit_weights, log_mass = gauss_jacobi_scaled((n1 + n2) // 2 + 1, a, b)
     p1 = np.asarray(jacobi(n1, a, b, nodes))
-    sign, log_s = log_weighted_dot(unit_weights, p1, p1 if n2 == n1 else np.asarray(jacobi(n2, a, b, nodes)))
-    if sign == 0.0:
-        return 0.0
-    log_n1 = log_norm_constant_nd(n1, l, dim, mu, params.alpha2)
-    log_n2 = log_norm_constant_nd(n2, l, dim, mu, params.alpha2)
-    log_const = _radial_measure_log_const(l, dim, mu, params.alpha2)
-    log_g = log_n1 + log_n2 + log_const + log_mass + log_s
-    return math.copysign(math.exp(log_g) if log_g < 709.78 else math.inf, sign)  # beyond double range
+    p2 = p1 if n2 == n1 else np.asarray(jacobi(n2, a, b, nodes))
+    log_n = log_norm_constant_nd(n1, l, dim, mu, params.alpha2) + log_norm_constant_nd(n2, l, dim, mu, params.alpha2)
+    return scaled_dot(unit_weights, p1, p2, log_n + _radial_measure_log_const(l, dim, mu, params.alpha2) + log_mass)
 
 
 def radial_norm(nr: int, l: int, dim: int, params: DeformationParams, cfg: OscillatorConfig) -> float:

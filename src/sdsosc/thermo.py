@@ -111,17 +111,22 @@ def partition_moments(t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: fl
     e0, s0, s1, s2 = math.sqrt(tp.a1), 0.0, 0.0, 0.0
     start, block, max_n = 0, 8192, 1 << 34
     while start < max_n:
-        w = np.arange(start, start + block, dtype=float)  # two block buffers, reused in place
-        de = (w * tp.a3 + tp.a2) * w
-        np.sqrt(np.add(de, tp.a1, out=w), out=w)
-        w += e0
-        de /= w
-        np.exp(np.multiply(de, -beta, out=w), out=w)
-        s0 += float(w.sum())
-        w *= de
-        s1 += float(w.sum())
-        w *= de
-        s2 += float(w.sum())
+        # errstate is per thread, so it sits here and not around the pool's caller
+        with np.errstate(all="ignore"):
+            w = np.arange(start, start + block, dtype=float)  # two block buffers, reused in place
+            de = (w * tp.a3 + tp.a2) * w
+            np.sqrt(np.add(de, tp.a1, out=w), out=w)
+            w += e0
+            de /= w
+            np.exp(np.multiply(de, -beta, out=w), out=w)
+            s0 += float(w.sum())
+            w *= de
+            s1 += float(w.sum())
+            w *= de
+            s2 += float(w.sum())
+        if not math.isfinite(s0 + s1 + s2):  # one test per block: a2 or a3 n^2 overflowed
+            raise NumericError(f"partition sum: the level energies overflow double precision "
+                               f"(a2 = {tp.a2!r}, a3 = {tp.a3!r})")
         start, block = start + block, min(2 * block, 1 << 20)
         tails = tuple(_moment_tail(k, start, beta, e0, tp) for k in range(3))
         if all(tail <= tol * s for tail, s in zip(tails, (s0, s1, s2))):

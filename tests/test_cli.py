@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -205,6 +206,16 @@ class TestWavefunctionCommand:
         _, body = data_rows(out)
         assert len(body) == 41 and all(math.isfinite(float(r[1])) for r in body)
 
+    # the (n + 1)-node Gauss-Hermite rule is exact for psi_n^2; from n = 144 on
+    # H_n overflows at the grid's edge 6 sqrt(n + 1) and the run exits 4
+    @pytest.mark.parametrize("units", [[], ["--units", "si"]], ids=["natural", "si"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 20, 40, 100, 143])
+    def test_undeformed_norm_check_is_exact(self, capsys, n, units):
+        code, out, err = run(capsys, "wavefunction", "--n", str(n), "--undeformed", "--p-count", "11", *units)
+        assert code == 0 and err == ""
+        norm_line = next(l for l in out.splitlines() if l.startswith("# norm_check:"))
+        assert abs(float(norm_line.split(":")[1]) - 1.0) <= 1e-12
+
     # n = 1000 at alpha2 = 5e-3 is TestExitCodes.test_failed_quadrature_is_four
     @pytest.mark.parametrize("argv", [
         ["--n", "300", "--alpha1", "0", "--alpha2", "1e-3"],
@@ -331,7 +342,8 @@ class TestVerifyCommand:
     def test_limits_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "limits")
         assert code == 0
-        assert json.loads(out)["passed"]
+        report = json.loads(out)
+        assert report["passed"] and "undeformed-norm" in [c["name"] for c in report["checks"]]
 
     def test_unknown_suite_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -368,6 +380,20 @@ class TestExitCodes:
     def test_nonfinite_parameter_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "finite" in err and out == ""
+
+    # k^2 = 1e308 is finite, but (k^2 / m^2 c^2) n^2 and the thermo coefficient a2 overflow
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--alpha1", "1e308", "--n-max", "3"],
+        ["spectrum", "--figure1", "--alpha1", "1e308"],
+        ["thermo", "--dim", "3", "--alpha1", "1e308", "--method", "direct", "--t-count", "2"],
+        ["thermo", "--dim", "3", "--alpha1", "1e308", "--method", "all", "--t-count", "2"],
+    ])
+    def test_overflowing_deformation_is_numeric_error(self, capsys, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy warning reaches the terminal either
+            code, out, err = run(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == 4 and out == "" and list(tmp_path.iterdir()) == []
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
     def test_failed_quadrature_is_four(self, capsys, tmp_path):
         # C_1000^200 overflows double precision: a NumericError, reported on one line

@@ -2,16 +2,18 @@
 
 Hypothesis draws `spectrum`, `wavefunction`, `thermo` and `bounds` argv, some
 options as flags and some from a JSON config file, mixing valid values with
-edge values (zero, the size limits, 2^53) and invalid ones (NaN, +-inf,
-negatives, huge integers, wrong JSON types, unknown choices).  Valid SI masses
-and frequencies are drawn log-uniformly over [1e-320, 1e308], so their squares
-can leave double precision.  Valid draws stay cheap: tables of at most 2001
-rows, n <= 60, t_count <= 3, and thermo in natural units with kBT <= 60.
+edge values (zero, the size limits, 2^53, deformations up to 1e308) and
+invalid ones (NaN, +-inf, negatives, huge integers, wrong JSON types, unknown
+choices).  Valid SI masses and frequencies are drawn log-uniformly over
+[1e-320, 1e308], so their squares can leave double precision.  Valid draws
+stay cheap: tables of at most 2001 rows, n <= 60, t_count <= 3, and thermo in
+natural units with kBT <= 60.
 
 Each example must either return 0 and leave parseable output (strict JSON, or
-CSV rows as wide as their header), return 2, 3 or 4 with exactly one stderr
-line starting ``error: ``, or stop in argparse with SystemExit(2).  Any other
-exception or exit code fails the test.
+CSV rows as wide as their header; every spectrum and wavefunction cell finite,
+while thermo marks out-of-regime points with NaN), return 2, 3 or 4 with
+exactly one stderr line starting ``error: ``, or stop in argparse with
+SystemExit(2).  Any other exception or exit code fails the test.
 """
 
 import contextlib
@@ -33,7 +35,7 @@ HUGE = 10**21
 
 # (valid values, edge and invalid values) per option; every n range of two
 # pool values is either at most 2001 rows or past the 10^6-row limit
-ALPHA = ([0.0, 1e-6, 1e-4, 0.005, 0.05], [-0.005, NAN, INF, -INF, HUGE])
+ALPHA = ([0.0, 1e-6, 1e-4, 0.005, 0.05], [-0.005, NAN, INF, -INF, HUGE, 1e154, 1e308])
 LOG_UNIFORM = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
 MASS = (LOG_UNIFORM, [0.0, -1.0, NAN, INF])
 OMEGA = (LOG_UNIFORM, [0.0, -1.0, NAN, -INF])
@@ -130,14 +132,19 @@ def reject_constant(token):
     raise ValueError(f"non-JSON constant {token}")
 
 
-def check_output(path: Path, fmt: str):
+def check_output(path: Path, fmt: str, finite: bool):
+    """Rows as wide as the header; with ``finite``, every cell a finite number."""
     text = path.read_text()
     if fmt == "json":
         payload = json.loads(text, parse_constant=reject_constant)
         assert all(len(row) == len(payload["columns"]) for row in payload["rows"])
-        return
-    rows = list(csv.reader(line for line in text.splitlines() if line and not line.startswith("#")))
-    assert rows and all(len(row) == len(rows[0]) for row in rows)
+        cells = [cell for row in payload["rows"] for cell in row]
+    else:
+        rows = list(csv.reader(line for line in text.splitlines() if line and not line.startswith("#")))
+        assert rows and all(len(row) == len(rows[0]) for row in rows)
+        cells = [float(cell) for row in rows[1:] for cell in row]
+    if finite:  # JSON writes a non-finite cell as null
+        assert all(cell is not None and math.isfinite(cell) for cell in cells), path.name
 
 
 @given(invocations())
@@ -172,12 +179,12 @@ def test_every_argv_ends_in_output_or_typed_error(invocation):
         if command == "thermo":
             written = sorted(root.glob("ok/out.*"))
             assert written, argv
-            for path in written:
-                check_output(path, fmt)
+            for path in written:  # out-of-regime points are NaN cells
+                check_output(path, fmt, finite=False)
         elif command == "bounds":
             for line in target.read_text().splitlines():
                 if not line.startswith("#"):
                     name, value = line.split(": ")
                     assert math.isfinite(float(value)), (argv, line)
         else:
-            check_output(target, fmt)
+            check_output(target, fmt, finite=True)

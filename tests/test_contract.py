@@ -40,6 +40,8 @@ SI = OscillatorConfig.si(m=9.1093837015e-31, omega=1e11)
 N = st.integers(0, 6)
 DIM = st.integers(1, 5)
 EXPONENT = st.floats(0.25, 12.0)
+# Jacobi exponents reach down to their bound, where a + b <= -1 has a finite norm
+JACOBI_EXPONENT = st.floats(-1.0, 12.0, exclude_min=True)
 
 
 def count(low=0):
@@ -67,18 +69,20 @@ CASES = {
     "log_gamma": (log_gamma, {0: above(0.0)}, lambda d: [d(st.floats(0.1, 50.0))]),
     "gegenbauer": (gegenbauer, {0: count(), 1: above(-0.5)}, lambda d: [d(N), d(EXPONENT), 0.3]),
     "jacobi": (jacobi, {0: count(), 1: above(-1.0), 2: above(-1.0)},
-               lambda d: [d(N), d(EXPONENT), d(EXPONENT), -0.4]),
+               lambda d: [d(N), d(JACOBI_EXPONENT), d(JACOBI_EXPONENT), -0.4]),
     "hermite": (hermite, {0: count()}, lambda d: [d(N), 0.7]),
     "gegenbauer_norm_log": (gegenbauer_norm_log, {0: count(), 1: above(0.0)}, lambda d: [d(N), d(EXPONENT)]),
     "jacobi_norm_log": (jacobi_norm_log, {0: count(), 1: above(-1.0), 2: above(-1.0)},
-                        lambda d: [d(N), d(EXPONENT), d(EXPONENT)]),
+                        lambda d: [d(N), d(JACOBI_EXPONENT), d(JACOBI_EXPONENT)]),
     "gauss_jacobi_scaled": (gauss_jacobi_scaled, {0: count(1), 1: above(-1.0), 2: above(-1.0)},
-                            lambda d: [d(st.integers(1, 8)), d(EXPONENT), d(EXPONENT)]),
+                            lambda d: [d(st.integers(1, 8)), d(JACOBI_EXPONENT), d(JACOBI_EXPONENT)]),
     "gauss_jacobi_rule": (gauss_jacobi_rule, {0: count(1), 1: above(-1.0), 2: above(-1.0)},
-                          lambda d: [d(st.integers(1, 8)), d(EXPONENT), d(EXPONENT)]),
+                          lambda d: [d(st.integers(1, 8)), d(JACOBI_EXPONENT), d(JACOBI_EXPONENT)]),
     **{f.__name__: (f, {0: count()}, lambda d: [d(N), P1, CFG1])
        for f in (s1.energy_1d, s1.energy_1d_oracle, s1.energy_deviation_first_order,
                  s1.energy_nonrelativistic, s1.state_1d, s1.wavefunction_norm_1d)},
+    "inner_product_1d": (s1.inner_product_1d, {0: count(), 1: count()}, lambda d: [d(N), d(N), P1, CFG1]),
+    "wavefunction_norm_1d_undeformed": (s1.wavefunction_norm_1d_undeformed, {0: count()}, lambda d: [d(N), CFG1]),
     "wavefunction_1d": (s1.wavefunction_1d, {0: count()}, lambda d: [d(N), P1, CFG1, 0.5]),
     "wavefunction_1d_undeformed": (s1.wavefunction_1d_undeformed, {0: count()}, lambda d: [d(N), CFG1, 0.5]),
     **{f.__name__: (f, {0: count(), 1: count(), 2: count(1)}, lambda d: pair(d) + [d(DIM), P3, CFG3])

@@ -45,6 +45,13 @@ GOLDEN = {
         ["wavefunction", "--n", "7"],
         "c290d606acd916a8a4b8ef69e7db46feb49b706041556e274a948890238f0b91",
     ),
+    # recorded when the undeformed norm check became the exact 21-node
+    # Gauss-Hermite rule; only the norm_check line differs from the output of
+    # the fixed 160-node Legendre check before it, 0.8824961236335362 -> 0.9999999999999978
+    "wavefunction-undeformed-n20": (
+        ["wavefunction", "--n", "20", "--undeformed"],
+        "f3e682ca527de24c8d5b8207e74d2a9a31dfb0c153c441581eda4a796b090d60",
+    ),
 }
 
 

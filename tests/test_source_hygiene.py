@@ -34,3 +34,17 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_builds_no_quadrature():
+    """The CLI takes every norm and Gram entry from the library, so it needs
+    nothing from ``polynomials``: no rule builder, no polynomial kernel."""
+    tree = ast.parse(next(p for p in MODULES if p.name == "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "polynomials":
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.split(".")[-1] == "polynomials"]
+    assert found == []

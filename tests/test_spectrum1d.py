@@ -17,6 +17,7 @@ from sdsosc.spectrum1d import (
     energy_1d_oracle,
     energy_deviation_first_order,
     energy_nonrelativistic,
+    inner_product_1d,
     normalization_identity_residual,
     nu_exponent,
     spacing_asymptote,
@@ -24,6 +25,7 @@ from sdsosc.spectrum1d import (
     wavefunction_1d,
     wavefunction_1d_undeformed,
     wavefunction_norm_1d,
+    wavefunction_norm_1d_undeformed,
 )
 
 ALPHA_GRID = [0.0, 1e-6, 1e-4, 1e-2, 1.0]
@@ -204,6 +206,15 @@ class TestWavefunction1d:
         for n in (0, 1, 5, 15):
             assert wavefunction_norm_1d(n, params_half_percent, natural) == pytest.approx(1.0, abs=1e-10)
 
+    def test_inner_product_is_the_identity_gram(self, natural, params_half_percent):
+        for n in range(9):
+            # the norm is the diagonal entry, float for float
+            assert wavefunction_norm_1d(n, params_half_percent, natural) == inner_product_1d(
+                n, n, params_half_percent, natural)
+            for m in range(9):
+                g = inner_product_1d(n, m, params_half_percent, natural)
+                assert g == pytest.approx(1.0 if n == m else 0.0, abs=1e-12)
+
     def test_norm_against_adaptive_integration(self, natural, params_half_percent):
         # fully independent route: generic adaptive quadrature of |psi|^2
         pmax = 1.0 / math.sqrt(0.005)
@@ -222,6 +233,9 @@ class TestWavefunction1d:
             wavefunction_1d(0, params_half_percent, natural, pmax)
         with pytest.raises(UnsupportedRepresentationError):
             wavefunction_1d(0, derive_params(0.01, 0.0, natural), natural, 0.1)
+        for n1, n2 in ((1, 1), (0, 2)):  # the quadrature oracles need the bounded representation too
+            with pytest.raises(UnsupportedRepresentationError):
+                inner_product_1d(n1, n2, derive_params(0.01, 0.0, natural), natural)
 
     def test_orthogonality_under_deformed_measure(self, natural, params_half_percent):
         from sdsosc.polynomials import gauss_jacobi_rule
@@ -230,14 +244,14 @@ class TestWavefunction1d:
         # the rule's own weight (1-u^2)^(nu-1/2) and the envelopes leaves
         # psi_n psi_m (1-u^2)^(-nu) as the function handed to the rule.
         nu = nu_exponent(params_half_percent, natural)
-        rule = gauss_jacobi_rule(24, nu - 0.5, nu - 0.5)
-        ps = rule.nodes / math.sqrt(0.005)
+        nodes, weights = gauss_jacobi_rule(24, nu - 0.5, nu - 0.5)
+        ps = nodes / math.sqrt(0.005)
         weight = (1.0 - 0.005 * ps * ps) ** (-nu)
         for n in range(9):
             fn = np.asarray(wavefunction_1d(n, params_half_percent, natural, ps))
             for m in range(n, 9):
                 fm = np.asarray(wavefunction_1d(m, params_half_percent, natural, ps))
-                inner = rule.integrate(weight * fn * fm) / math.sqrt(0.005)
+                inner = np.dot(weights, weight * fn * fm) / math.sqrt(0.005)
                 assert inner == pytest.approx(1.0 if n == m else 0.0, abs=1e-8)
 
 
@@ -252,6 +266,13 @@ class TestWavefunctionUndeformed:
         for n in (0, 1, 4):
             value, _ = quad(lambda p: wavefunction_1d_undeformed(n, natural, p) ** 2, -12.0, 12.0, limit=200)
             assert value == pytest.approx(1.0, abs=1e-10)
+
+    # the (n + 1)-node Gauss-Hermite rule is exact for psi_n^2 until H_n overflows at its nodes (n = 206)
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_quadrature_norm_is_exact(self, natural, units):
+        cfg = natural if units == "natural" else OscillatorConfig.si(m=9.1093837015e-31, omega=1e11)
+        for n in (0, 1, 7, 20, 40, 100, 150, 197):
+            assert abs(wavefunction_norm_1d_undeformed(n, cfg) - 1.0) <= 1e-12, n
 
     def test_deformed_limit_sweep(self, natural):
         grid = np.linspace(-3.0, 3.0, 41)

@@ -181,6 +181,8 @@ class TestRadialWavefunction:
             radial_wavefunction(0, 0, 3, params_half_percent, natural3, -0.1)
         with pytest.raises(UnsupportedRepresentationError):
             radial_wavefunction(0, 0, 3, derive_params(0.01, 0.0, natural3), natural3, 0.1)
+        with pytest.raises(UnsupportedRepresentationError):
+            radial_norm(1, 0, 3, derive_params(0.01, 0.0, natural3), natural3)
 
     def test_identity_residual_small(self):
         for mu in (0.75, 2.5, 31.0, 100.0, 1e4, 1e8):
