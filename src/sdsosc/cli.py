@@ -301,10 +301,11 @@ def cmd_thermo(args: argparse.Namespace) -> int:
         for theta, curve in curves:
             for m in methods:
                 columns.append(f"{q}[theta={theta:g}][{m}]")
-                series.append(curve.data[m][q])
+                series.append(curve.data[m][q].tolist())
                 columns.append(f"in_regime[theta={theta:g}][{m}]")
-                series.append([int(flag) for flag in curve.flags[m]])  # json rejects np.int64
-        rows = [tuple([grid[i]] + [col[i] for col in series]) for i in range(grid.size)]
+                series.append(curve.flags[m].astype(int).tolist())  # 0/1, not json's false/true
+        # Python scalars, not NumPy ones: each column then takes to_csv's typed template
+        rows = list(zip(grid.tolist(), *series))
         any_ok = any_ok or any(
             bool(curve.flags[m][i]) and not math.isnan(curve.data[m][q][i])
             for _, curve in curves for m in methods for i in range(grid.size)

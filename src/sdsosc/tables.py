@@ -4,6 +4,14 @@ CSV output carries '#'-prefixed metadata lines (parameter echo, units,
 version) ahead of the header row and prints numbers with 17 significant
 digits, so identical configurations produce byte-identical files.  JSON
 output is strict JSON: a non-finite number becomes null.
+
+``to_csv`` types each column once and formats every row with one ``%``
+template: ``%.17g`` for a column of Python floats, ``%d`` for one of ints
+and bools, and ``%s`` over ``format_number``'s text for any other column
+(NumPy scalars, strings, None, mixed types).  ``"%.17g" % x`` and
+``format(x, ".17g")`` are the same C conversion, so the bytes equal those of
+``format_number`` applied cell by cell.  The template holds only conversion
+specs and commas; no cell text is ever parsed as a format.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Sequence
+
+from .errors import ParameterDomainError
 
 
 def format_number(x: Any) -> str:
@@ -36,6 +46,12 @@ def _json_value(x: Any) -> Any:
     return x
 
 
+def _column_spec(column: Sequence) -> str:
+    """The ``%`` conversion of a column: %.17g for Python floats, %d for ints and bools, else %s."""
+    types = set(map(type, column))
+    return "%.17g" if types == {float} else "%d" if types <= {int, bool} else "%s"
+
+
 @dataclass
 class SpectrumTable:
     """Rows of per-level quantities plus self-describing metadata."""
@@ -45,13 +61,19 @@ class SpectrumTable:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = []
-        for key in sorted(self.meta):
-            lines.append(f"# {key}: {json.dumps(self.meta[key], sort_keys=True)}")
+        lines = [f"# {key}: {json.dumps(self.meta[key], sort_keys=True)}" for key in sorted(self.meta)]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(format_number(v) for v in row))
-        return "\n".join(lines) + "\n"
+        rows = self.rows
+        if len(set(map(len, rows))) > 1:
+            bad = next(i for i, row in enumerate(rows) if len(row) != len(rows[0]))
+            raise ParameterDomainError(f"table row {bad} has {len(rows[bad])} cells, row 0 has {len(rows[0])}")
+        specs = [_column_spec(col) for col in zip(*rows)]
+        if "%s" in specs:
+            rows = zip(*[map(format_number, col) if spec == "%s" else col for spec, col in zip(specs, zip(*rows))])
+        template = ",".join(specs)
+        lines += [template % row for row in map(tuple, rows)]  # % takes a tuple; tuple() returns a tuple row itself
+        lines.append("")  # the final newline, without a copy of the joined text
+        return "\n".join(lines)
 
     def to_json(self) -> str:
         payload = {"meta": self.meta, "columns": list(self.columns), "rows": self.rows}

@@ -12,6 +12,8 @@ import json
 import pytest
 
 from sdsosc.cli import main
+from sdsosc.model import OscillatorConfig, derive_params
+from sdsosc.spectrumnd import degeneracy_table
 
 GOLDEN = {
     "spectrum-d1": (
@@ -52,19 +54,40 @@ GOLDEN = {
         ["wavefunction", "--n", "20", "--undeformed"],
         "f3e682ca527de24c8d5b8207e74d2a9a31dfb0c153c441581eda4a796b090d60",
     ),
+    # the three below and DEGENERACY_DIGEST were recorded before CSV rows went
+    # through one % template per table, to pin output paths no other digest covered
+    "spectrum-d3-json": (
+        ["spectrum", "--dim", "3", "--n-max", "40", "--format", "json"],
+        "cdfee95e0b1b33dba12aac6190c5d6a54fc2994b2715df982214b0cd47fb12c7",
+    ),
+    "wavefunction-radial-d3-n12": (
+        ["wavefunction", "--n", "12", "--dim", "3", "--l", "1"],
+        "c2291ae0f38b9cf41441eeb2875b67f0d61c349b4ccf8c39f2eb1f052e74f4fc",
+    ),
+    "thermo-figure2-json": (
+        ["thermo", "--figure2", "--method", "all", "--t-min", "15", "--t-max", "16", "--t-count", "2",
+         "--format", "json"],
+        "ce2ead28f968617d313cee25891d256be11b87d0ed4691a2bf473e11185a37a6",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(name, tmp_path):
     argv, digest = GOLDEN[name]
-    if argv[0] == "thermo":
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-        written = tmp_path / "out.C.csv"
-    else:
-        written = tmp_path / "out.csv"
-        assert main(argv + ["--out", str(written)]) == 0
+    # thermo takes --out as a prefix and writes one file per quantity: each case writes one file
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    [written] = tmp_path.iterdir()
     assert hashlib.sha256(written.read_bytes()).hexdigest() == digest
+
+
+DEGENERACY_DIGEST = "770084251079ac5087a68812fd774b8b299a966ca459992e69cc5075b7d3902f"
+
+
+def test_degeneracy_table_digest():
+    cfg = OscillatorConfig.natural(dim=3)
+    csv = degeneracy_table(12, 3, derive_params(0.005, 0.005, cfg), cfg).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == DEGENERACY_DIGEST
 
 
 # an SI config file plus one overriding flag: pins the merge of defaults,
