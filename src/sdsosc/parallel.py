@@ -1,31 +1,5 @@
-"""Deterministic parallel map over grid points.
-
-SDS_OSC_THREADS caps the worker count (0 or unset = automatic); results come
-back in input order regardless of completion order, so output files never
-depend on scheduling.
-"""
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count() -> int:
-    raw = os.environ.get("SDS_OSC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(8, os.cpu_count() or 1)
-    return n
+"""Ordered map over grid points: a plain loop, kept as the seam ``bench/tracer.py`` wraps by name."""
 
 
 def parallel_map(fn, items):
-    items = list(items)
-    workers = min(thread_count(), max(len(items), 1))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

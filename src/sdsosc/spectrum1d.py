@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NumericError,
     ParameterDomainError,
     UndeformedLimitError,
     UnsupportedRepresentationError,
@@ -226,13 +227,17 @@ def wavefunction_norm_1d(n: int, params: DeformationParams, cfg: OscillatorConfi
 def wavefunction_norm_1d_undeformed(n: int, cfg: OscillatorConfig) -> float:
     """Quadrature norm of the undeformed psi_n: with p = sqrt(m w hbar) x it is
     sqrt(m w hbar) int dx e^(-x^2) [e^(x^2) psi^2], the bracket a polynomial of
-    degree 2n, so the (n + 1)-node Gauss-Hermite rule is exact."""
+    degree 2n, so the (n + 1)-node Gauss-Hermite rule is exact.  Raises
+    ``NumericError`` once H_n overflows at the outer nodes (from n = 206)."""
     from numpy.polynomial.hermite import hermgauss  # ~5 ms of import, paid only here
 
     n = check_count(n, "quantum number")
     sigma = cfg.m * cfg.omega * cfg.hbar
     x, w = hermgauss(n + 1)
-    psi = np.asarray(wavefunction_1d_undeformed(n, cfg, math.sqrt(sigma) * x))  # checks sigma > 0
+    with np.errstate(all="ignore"):
+        psi = np.asarray(wavefunction_1d_undeformed(n, cfg, math.sqrt(sigma) * x))  # checks sigma > 0
+    if not np.all(np.isfinite(psi)):
+        raise NumericError(f"undeformed psi_{n} overflows at its Gauss-Hermite nodes")
     return scaled_dot(w * np.exp(x * x), psi, psi, 0.5 * math.log(sigma))
 
 

@@ -26,6 +26,7 @@ from .parallel import parallel_map
 
 METHODS = ("direct", "highT", "em", "numeric-derivative")
 QUANTITIES = ("Z", "F", "U", "C", "S")
+_CHUNK = 1 << 14  # levels per step of the moment pass: its three 128 KiB buffers stay in L2
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,12 @@ def partition_moments(t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: fl
       sum_j m g_k(L(m)).  As L(2m) <= 2 L(m), block j + 1 over block j is at most
       rho_j = 2^(k+1) exp(-beta h(m)), h(m) = L(2m) - L(m) increasing: once
       rho_j <= 1/2 the blocks after j add at most block j.
+    Blocks of 8192 levels, doubling to 2^20, are worked in chunks of _CHUNK = 2^14
+    levels through three buffers allocated once per call, so memory stays fixed at
+    any temperature.  Each chunk repeats the element-wise steps of a whole-block
+    pass; its sums are added in pairs, halves first, which is the order NumPy's
+    pairwise sum takes over a power-of-two block, so s_k is bit-identical to
+    summing the block as one array.
     """
     _check_temperature(t)
     check_above(tol, 0.0, "tol")
@@ -109,21 +116,30 @@ def partition_moments(t: float, tp: ThermoParams, cfg: OscillatorConfig, tol: fl
     if not math.isfinite(beta * beta):
         raise ParameterDomainError(f"temperature {t} is too small: (m c^2 / kB T)^2 overflows")
     e0, s0, s1, s2 = math.sqrt(tp.a1), 0.0, 0.0, 0.0
+    ramp, w, de = np.arange(_CHUNK, dtype=float), np.empty(_CHUNK), np.empty(_CHUNK)
     start, block, max_n = 0, 8192, 1 << 34
     while start < max_n:
-        # errstate is per thread, so it sits here and not around the pool's caller
-        with np.errstate(all="ignore"):
-            w = np.arange(start, start + block, dtype=float)  # two block buffers, reused in place
-            de = (w * tp.a3 + tp.a2) * w
-            np.sqrt(np.add(de, tp.a1, out=w), out=w)
-            w += e0
-            de /= w
-            np.exp(np.multiply(de, -beta, out=w), out=w)
-            s0 += float(w.sum())
-            w *= de
-            s1 += float(w.sum())
-            w *= de
-            s2 += float(w.sum())
+        size = min(block, _CHUNK)
+        r, wc, dc = ramp[:size], w[:size], de[:size]
+        parts = []
+        with np.errstate(all="ignore"):  # overflow is tested once per block below
+            for lo in range(start, start + block, size):
+                np.add(r, lo, out=wc)
+                np.multiply(wc, tp.a3, out=dc)
+                dc += tp.a2
+                dc *= wc
+                np.sqrt(np.add(dc, tp.a1, out=wc), out=wc)
+                wc += e0
+                dc /= wc
+                np.exp(np.multiply(dc, -beta, out=wc), out=wc)
+                p0 = float(wc.sum())
+                wc *= dc
+                p1 = float(wc.sum())
+                wc *= dc
+                parts.append((p0, p1, float(wc.sum())))
+        while len(parts) > 1:  # NumPy's pairwise order over the whole block: halves first
+            parts = [(a[0] + b[0], a[1] + b[1], a[2] + b[2]) for a, b in zip(parts[::2], parts[1::2])]
+        s0, s1, s2 = (s + part for s, part in zip((s0, s1, s2), parts[0]))
         if not math.isfinite(s0 + s1 + s2):  # one test per block: a2 or a3 n^2 overflowed
             raise NumericError(f"partition sum: the level energies overflow double precision "
                                f"(a2 = {tp.a2!r}, a3 = {tp.a3!r})")

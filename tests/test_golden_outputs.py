@@ -69,16 +69,30 @@ GOLDEN = {
          "--format", "json"],
         "ce2ead28f968617d313cee25891d256be11b87d0ed4691a2bf473e11185a37a6",
     ),
+    # the two below were recorded before the direct moment pass went to fixed-size
+    # chunks: at theta = 0 and kBT = 45..50 the sum reaches the 2^20-level block
+    # cap (2 088 960 terms at kBT = 50), and at a3 > 0 the geometric tail bound
+    # stops it; the second writes all five quantity files
+    "thermo-figure4-direct-block-cap": (
+        ["thermo", "--figure4", "--method", "direct", "--t-min", "45", "--t-max", "50", "--t-count", "2"],
+        "8a12e0bea12d66f39d53bc8cc1be8f8ba17f7f0858737c8d4e37e42ff39d86ac",
+    ),
+    "thermo-direct-d1-geometric-tail": (
+        ["thermo", "--method", "direct", "--dim", "1", "--alpha1", "1e-5", "--alpha2", "2e-5",
+         "--t-min", "0.5", "--t-max", "200", "--t-count", "6"],
+        "e5dfc93dd27b58b82b45e4e1c268db1d1d000d2fd8b1d7a69265c91d952886f0",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(name, tmp_path):
     argv, digest = GOLDEN[name]
-    # thermo takes --out as a prefix and writes one file per quantity: each case writes one file
+    # thermo takes --out as a prefix and writes one file per quantity; the digest
+    # covers the written files joined in name order (one file: that file's digest)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    [written] = tmp_path.iterdir()
-    assert hashlib.sha256(written.read_bytes()).hexdigest() == digest
+    written = b"".join(path.read_bytes() for path in sorted(tmp_path.iterdir()))
+    assert hashlib.sha256(written).hexdigest() == digest
 
 
 DEGENERACY_DIGEST = "770084251079ac5087a68812fd774b8b299a966ca459992e69cc5075b7d3902f"

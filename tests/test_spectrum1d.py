@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from conftest import fd1, fd2, ode_residual_scale
 from sdsosc.errors import (
+    NumericError,
     ParameterDomainError,
     UndeformedLimitError,
     UnsupportedRepresentationError,
@@ -273,6 +275,13 @@ class TestWavefunctionUndeformed:
         cfg = natural if units == "natural" else OscillatorConfig.si(m=9.1093837015e-31, omega=1e11)
         for n in (0, 1, 7, 20, 40, 100, 150, 197):
             assert abs(wavefunction_norm_1d_undeformed(n, cfg) - 1.0) <= 1e-12, n
+
+    def test_quadrature_norm_raises_once_hermite_overflows(self, natural):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(wavefunction_norm_1d_undeformed(205, natural) - 1.0) <= 1e-10
+            with pytest.raises(NumericError, match="psi_206"):
+                wavefunction_norm_1d_undeformed(206, natural)
 
     def test_deformed_limit_sweep(self, natural):
         grid = np.linspace(-3.0, 3.0, 41)

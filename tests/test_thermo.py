@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from sdsosc.errors import OutOfRegimeError, ParameterDomainError
 from sdsosc.model import OscillatorConfig, derive_params
 from sdsosc.thermo import (
+    BoltzmannMoments,
     ThermoParams,
+    _moment_tail,
     _numeric_ucs,
     entropy,
     free_energy,
@@ -124,6 +127,55 @@ class TestPartitionMoments:
         assert res.s == pytest.approx(s, rel=1e-10)
         assert res.z == pytest.approx(s0 * math.exp(-1.0 / x), rel=1e-10)
         assert all(tail >= remainder for tail, remainder in zip(res.tails, rest))
+
+
+def whole_block_moments(t, tp, cfg, tol=1e-10):
+    """The moment pass as written before it went to chunks: each block of levels is
+    one fresh array, and NumPy sums it whole.  The reference for bit-identity."""
+    beta = cfg.mc2 / (tp.kB * t)
+    e0, s0, s1, s2 = math.sqrt(tp.a1), 0.0, 0.0, 0.0
+    start, block = 0, 8192
+    while True:
+        with np.errstate(all="ignore"):
+            w = np.arange(start, start + block, dtype=float)
+            de = (w * tp.a3 + tp.a2) * w
+            np.sqrt(np.add(de, tp.a1, out=w), out=w)
+            w += e0
+            de /= w
+            np.exp(np.multiply(de, -beta, out=w), out=w)
+            s0 += float(w.sum())
+            w *= de
+            s1 += float(w.sum())
+            w *= de
+            s2 += float(w.sum())
+        start, block = start + block, min(2 * block, 1 << 20)
+        tails = tuple(_moment_tail(k, start, beta, e0, tp) for k in range(3))
+        if all(tail <= tol * s for tail, s in zip(tails, (s0, s1, s2))):
+            mean, log_s0 = s1 / s0, math.log(s0)
+            return BoltzmannMoments(s0 * math.exp(-beta * e0), cfg.mc2 * e0 - tp.kB * t * log_s0,
+                                    cfg.mc2 * (e0 + mean), beta * beta * (s2 / s0 - mean * mean),
+                                    log_s0 + beta * mean, tails, start)
+
+
+class TestChunkedMomentPass:
+    # kBT = 120 at theta = 0 runs past the 2^20-level block cap (9 428 992 terms)
+    @pytest.mark.parametrize("dim,l", [(1, 0), (1, 1), (3, 0), (3, 1)])
+    @pytest.mark.parametrize("theta", [0.0, 1e-6, 1e-5])
+    @pytest.mark.parametrize("x", [0.05, 15.0, 50.0, 120.0])
+    def test_bit_identical_to_whole_block_pass(self, x, theta, dim, l):
+        tp, cfg = make(theta=theta, dim=dim, l=l)
+        assert repr(partition_moments(x, tp, cfg)) == repr(whole_block_moments(x, tp, cfg))
+
+    def test_memory_is_fixed(self):
+        tp, cfg = make(dim=3)
+        tracemalloc.start()
+        try:
+            res = partition_moments(50.0, tp, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.terms == 2088960  # every block up to the 2^20 cap
+        assert peak < 1 << 20
 
 
 class TestPartitionHighT:
@@ -323,16 +375,14 @@ class TestThermoCurve:
         assert not curve.flags["highT"][0] and curve.flags["highT"][1]
         assert math.isfinite(curve.data["highT"]["Z"][0])
 
-    def test_deterministic_under_thread_cap(self, monkeypatch):
+    def test_direct_column_is_the_per_point_moment_pass(self):
         grid = np.linspace(15.0, 40.0, 6)
         tp, cfg = make(theta=1e-6, dim=3)
-        monkeypatch.setenv("SDS_OSC_THREADS", "4")
-        a = thermo_curve(grid, tp, cfg, methods=("direct", "highT"))
-        monkeypatch.setenv("SDS_OSC_THREADS", "1")
-        b = thermo_curve(grid, tp, cfg, methods=("direct", "highT"))
-        for m in ("direct", "highT"):
-            for q in ("Z", "F", "U", "C", "S"):
-                assert np.array_equal(a.data[m][q], b.data[m][q])
+        curve = thermo_curve(grid, tp, cfg, methods=("direct", "highT"))
+        for i, t in enumerate(grid):
+            expected = partition_moments(float(t), tp, cfg)[:5]
+            got = tuple(float(curve.data["direct"][q][i]) for q in ("Z", "F", "U", "C", "S"))
+            assert repr(got) == repr(expected)
 
     def test_validation(self):
         tp, cfg = make()
