@@ -148,18 +148,19 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(write, out: str | None) -> None:
+    """``write(fh)`` with stdout for no path or "-", else with ``out`` opened for text."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        write(fh)
 
 
 def _emit(table: SpectrumTable, run: RunConfig, out: str | None) -> None:
     table.meta.setdefault("version", f"sdsosc {__version__}")
     table.meta.setdefault("config", run.echo())
-    _write(table.to_csv() if run.format == "csv" else table.to_json(), out)
+    _write(functools.partial(table.write, fmt=run.format), out)
 
 
 def _levels(run: RunConfig):
@@ -190,10 +191,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         with np.errstate(all="ignore"):
             spacings = [_energies(grid + 1, 0, 1, p, cfg) - _energies(grid, 0, 1, p, cfg) for p in deformations]
         _check_finite(SPECTRUM_OVERFLOW, *spacings)
-        rows = list(zip(grid.tolist(), *(col.tolist() for col in spacings)))
         meta = {"kind": "spectrum-spacing", "units": run.units,
                 "asymptotes": {f"{p.alpha1:g},{p.alpha2:g}": s1.spacing_asymptote(p, cfg) for p in deformations}}
-        _emit(SpectrumTable(columns=columns, rows=rows, meta=meta), run, run.out)
+        _emit(SpectrumTable(columns=columns, data=[grid, *spacings], meta=meta), run, run.out)
         return 0
 
     ns, ls = _levels(run)
@@ -203,13 +203,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         spacing = _energies(ns + step, ls, run.dim, params, cfg) - energy
         _, dev = level_shift_first_order(ns, ls, run.dim, params, cfg)
     _check_finite(SPECTRUM_OVERFLOW, energy, spacing, dev)
-    # Python scalars, not NumPy ones: json.dumps rejects np.int64
-    rows = list(zip(ns.tolist(), ls.tolist(), [run.dim] * ns.size,
-                    energy.tolist(), spacing.tolist(), dev.tolist()))
+    data = [ns, ls, np.full(ns.size, run.dim), energy, spacing, dev]
     meta = {"kind": "spectrum", "units": run.units, "alpha1": run.alpha1, "alpha2": run.alpha2,
             "spacing_asymptote": s1.spacing_asymptote(params, cfg)}
     columns = ("n", "l", "dim", "energy", "spacing", "deviation_first_order")
-    _emit(SpectrumTable(columns=columns, rows=rows, meta=meta), run, run.out)
+    _emit(SpectrumTable(columns=columns, data=data, meta=meta), run, run.out)
     return 0
 
 
@@ -229,28 +227,28 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         raise ParameterDomainError(f"p-count must be between 2 and {MAX_P_COUNT}, got {args.p_count}")
     if args.n > MAX_WAVEFUNCTION_N:
         raise ParameterDomainError(f"n must be at most {MAX_WAVEFUNCTION_N}, got {args.n}")
-    # overflow shows up as inf/NaN samples, rejected below as one error line
+    # overflow shows up as inf/NaN samples, rejected as one error line before the O(n^3) norm rule
+    # is built: psi overflows first (undeformed from n = 144, at the grid's edge)
     with np.errstate(all="ignore"):
-        grid, values, meta = _wavefunction_samples(run, args.n, args.p_count, args.undeformed)
-    _check_finite(f"wavefunction n={args.n}: psi samples overflow double precision", values)
+        grid, values, meta, norm = _wavefunction_samples(run, args.n, args.p_count, args.undeformed)
+        _check_finite(f"wavefunction n={args.n}: psi samples overflow double precision", values)
+        meta["norm_check"] = norm()
     if not math.isfinite(meta["norm_check"]):
         raise NumericError(f"wavefunction n={args.n}: norm_check is {meta['norm_check']!r} in double precision")
-    table = SpectrumTable(columns=("p", "psi"), rows=list(zip(grid.tolist(), np.asarray(values).tolist())), meta=meta)
-    _emit(table, run, run.out)
+    _emit(SpectrumTable(columns=("p", "psi"), data=[grid, values], meta=meta), run, run.out)
     return 0
 
 
 def _wavefunction_samples(run: RunConfig, n: int, count: int, undeformed: bool):
-    """(momentum grid, psi samples, metadata with the quadrature norm_check)."""
+    """(momentum grid, psi samples, metadata, the call that returns the quadrature norm_check)."""
     cfg = run.oscillator()
     if undeformed:
         sigma = cfg.m * cfg.omega * cfg.hbar
         span = 6.0 * math.sqrt(sigma * (n + 1.0))
         grid = np.linspace(-span, span, count)
         values = s1.wavefunction_1d_undeformed(n, cfg, grid)
-        # psi overflows at the grid's edge first (n >= 144): the caller rejects it, so skip the O(n^3) rule
-        norm = s1.wavefunction_norm_1d_undeformed(n, cfg) if np.all(np.isfinite(values)) else math.nan
-        return grid, values, {"kind": "wavefunction-undeformed", "n": n, "norm_check": norm, "units": run.units}
+        meta = {"kind": "wavefunction-undeformed", "n": n, "units": run.units}
+        return grid, values, meta, functools.partial(s1.wavefunction_norm_1d_undeformed, n, cfg)
 
     params = derive_params(run.alpha1, run.alpha2, cfg)
     if run.alpha2 <= 0.0:
@@ -262,14 +260,15 @@ def _wavefunction_samples(run: RunConfig, n: int, count: int, undeformed: bool):
     if run.dim == 1:
         grid = np.linspace(-clip, clip, count)
         values = s1.wavefunction_1d(n, params, cfg, grid)
-        meta = {"kind": "wavefunction", "n": n, "norm_check": s1.wavefunction_norm_1d(n, params, cfg)}
+        meta = {"kind": "wavefunction", "n": n}
+        norm = functools.partial(s1.wavefunction_norm_1d, n, params, cfg)
     else:
         grid = np.linspace(0.0, clip, count)
         values = snd.radial_wavefunction(n, run.l, run.dim, params, cfg, grid)
-        meta = {"kind": "radial-wavefunction", "nr": n, "l": run.l, "dim": run.dim,
-                "norm_check": snd.radial_norm(n, run.l, run.dim, params, cfg)}
+        meta = {"kind": "radial-wavefunction", "nr": n, "l": run.l, "dim": run.dim}
+        norm = functools.partial(snd.radial_norm, n, run.l, run.dim, params, cfg)
     meta.update(units=run.units, alpha1=run.alpha1, alpha2=run.alpha2, momentum_cutoff=pmax)
-    return grid, values, meta
+    return grid, values, meta, norm
 
 
 def _theta_params(theta: float, cfg: OscillatorConfig):
@@ -296,24 +295,15 @@ def cmd_thermo(args: argparse.Namespace) -> int:
 
     any_ok = False
     for q in quantities:
-        columns = ["T"]
-        series = []
+        columns, data = ["T"], [grid]
         for theta, curve in curves:
             for m in methods:
-                columns.append(f"{q}[theta={theta:g}][{m}]")
-                series.append(curve.data[m][q].tolist())
-                columns.append(f"in_regime[theta={theta:g}][{m}]")
-                series.append(curve.flags[m].astype(int).tolist())  # 0/1, not json's false/true
-        # Python scalars, not NumPy ones: each column then takes to_csv's typed template
-        rows = list(zip(grid.tolist(), *series))
-        any_ok = any_ok or any(
-            bool(curve.flags[m][i]) and not math.isnan(curve.data[m][q][i])
-            for _, curve in curves for m in methods for i in range(grid.size)
-        )
+                columns += [f"{q}[theta={theta:g}][{m}]", f"in_regime[theta={theta:g}][{m}]"]
+                data += [curve.data[m][q], curve.flags[m].astype(int)]  # 0/1, not json's false/true
+                any_ok = any_ok or bool(np.any(curve.flags[m] & ~np.isnan(curve.data[m][q])))
         meta = {"kind": f"thermo-{q}", "units": run.units, "l": run.l,
                 "dim": cfg.dim, "thetas": [float(t) for t in thetas], "methods": list(methods)}
-        table = SpectrumTable(columns=columns, rows=rows, meta=meta)
-        _emit(table, run, f"{run.out}.{q}.{run.format}")
+        _emit(SpectrumTable(columns=columns, data=data, meta=meta), run, f"{run.out}.{q}.{run.format}")
     if not any_ok:
         raise OutOfRegimeError("every grid point is out of the high-temperature regime; use --method direct, "
                                "or a smaller --alpha1/--alpha2 so that theta*delta <= 0.5")
@@ -338,7 +328,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         f"delta_p_reference_kgms: {format_number(PUBLISHED_DELTA_P_BOUND)}",
         f"theta_scaling_exponent_in_B: {format_number(bounds.scaling_exponent)}",
     ]
-    _write("\n".join(lines) + "\n", run.out)
+    _write(lambda fh: fh.write("\n".join(lines) + "\n"), run.out)
     return 0
 
 
@@ -474,7 +464,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checks.append({"suite": name, **check})
     passed = all(c["passed"] for c in checks)
     report = {"suite": args.suite, "passed": passed, "version": f"sdsosc {__version__}", "checks": checks}
-    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", run.out)
+    _write(lambda fh: fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n"), run.out)
     return 0 if passed else 1
 
 

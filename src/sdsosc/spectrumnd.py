@@ -266,18 +266,16 @@ def degeneracy_table(
     n_max = check_count(n_max, "n_max")
     multiplicity = [angular_degeneracy(l, dim) for l in range(n_max + 1)]
     ns, ls = level_pairs(0, n_max)
-    energies = (cfg.mc2 * np.sqrt(level_radicand(ns, ls, dim, params, cfg))).tolist()
+    energies = cfg.mc2 * np.sqrt(level_radicand(ns, ls, dim, params, cfg))
     # Python round, not np.round: the two round differently and regroup levels
-    keys = [round(e / cfg.mc2, 12) for e in energies]
+    keys = [round(e / cfg.mc2, 12) for e in energies.tolist()]
     gs = [multiplicity[l] for l in ls.tolist()]
     sharing = {}
     for key, g in zip(keys, gs):
         sharing[key] = sharing.get(key, 0) + g
-    rows = [(n, l, dim, e, g, sharing[key])
-            for n, l, e, g, key in zip(ns.tolist(), ls.tolist(), energies, gs, keys)]
     return SpectrumTable(
         columns=("n", "l", "dim", "energy", "angular_multiplicity", "states_sharing_energy"),
-        rows=rows,
+        data=[ns, ls, [dim] * ns.size, energies, gs, [sharing[key] for key in keys]],
         meta={
             "alpha1": params.alpha1,
             "alpha2": params.alpha2,

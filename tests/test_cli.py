@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from sdsosc import spectrum1d as s1, spectrumnd as snd
 from sdsosc.cli import build_parser, main
 
 
@@ -226,6 +227,23 @@ class TestWavefunctionCommand:
         code, out, err = run(capsys, "wavefunction", *argv, "--out", str(target))
         assert code == 4 and out == "" and not target.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # psi overflows at these states (default nu = 100 in 1D, nu = 1e3 radially); the
+    # norm rule, which would take seconds to build, is never started
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3000"],
+        ["--n", "400", "--dim", "3", "--alpha1", "0", "--alpha2", "1e-3"],
+    ])
+    def test_overflowing_psi_skips_the_norm_rule(self, capsys, tmp_path, monkeypatch, argv):
+        def unreachable(*args):
+            raise AssertionError("norm rule built for psi samples that overflow")
+
+        monkeypatch.setattr(s1, "wavefunction_norm_1d", unreachable)
+        monkeypatch.setattr(snd, "radial_norm", unreachable)
+        target = tmp_path / "x.csv"
+        code, out, err = run(capsys, "wavefunction", *argv, "--out", str(target))
+        assert code == 4 and out == "" and not target.exists()
+        assert err.startswith("error: ") and "psi samples overflow" in err and err.count("\n") == 1
 
 
 class TestThermoCommand:

@@ -211,30 +211,35 @@ class TestRadialOde:
             assert worst_res <= 1e-6 * worst_scale
 
 
+def level_index(table) -> dict:
+    """Row index of each (n, l) level of a degeneracy table."""
+    return {(n, l): i for i, (n, l) in enumerate(zip(table.data[0].tolist(), table.data[1].tolist()))}
+
+
 class TestDegeneracyTable:
     def test_single_row_at_zero(self, natural3, params_half_percent):
         table = degeneracy_table(0, 3, params_half_percent, natural3)
-        assert len(table.rows) == 1
-        assert table.rows[0][3] == natural3.mc2
+        assert len(table) == 1
+        assert table.data[3][0] == natural3.mc2
 
     def test_undeformed_degeneracy_restored(self, natural3):
         zero = derive_params(0.0, 0.0, natural3)
         table = degeneracy_table(2, 3, zero, natural3)
-        by_level = {(r[0], r[1]): r for r in table.rows}
-        assert by_level[(2, 0)][3] == by_level[(2, 2)][3]
+        energy, sharing, at = table.data[3], table.data[5], level_index(table)
+        assert energy[at[(2, 0)]] == energy[at[(2, 2)]]
         # 1 s-state + 5 d-states share the n = 2 energy in 3 dimensions
-        assert by_level[(2, 0)][5] == 6 and by_level[(2, 2)][5] == 6
+        assert sharing[at[(2, 0)]] == 6 and sharing[at[(2, 2)]] == 6
 
     def test_deformed_splitting(self, natural3, params_half_percent):
         table = degeneracy_table(2, 3, params_half_percent, natural3)
-        by_level = {(r[0], r[1]): r for r in table.rows}
-        assert by_level[(2, 0)][3] == pytest.approx(math.sqrt(5.08), rel=1e-14)
-        assert by_level[(2, 2)][3] == pytest.approx(math.sqrt(5.02), rel=1e-14)
-        assert by_level[(2, 0)][5] == 1 and by_level[(2, 2)][5] == 5
+        energy, sharing, at = table.data[3], table.data[5], level_index(table)
+        assert energy[at[(2, 0)]] == pytest.approx(math.sqrt(5.08), rel=1e-14)
+        assert energy[at[(2, 2)]] == pytest.approx(math.sqrt(5.02), rel=1e-14)
+        assert sharing[at[(2, 0)]] == 1 and sharing[at[(2, 2)]] == 5
 
     def test_enumeration_order(self, natural3, params_half_percent):
         table = degeneracy_table(4, 3, params_half_percent, natural3)
-        keys = [(r[0], r[1]) for r in table.rows]
+        keys = list(zip(table.data[0].tolist(), table.data[1].tolist()))
         assert keys == sorted(keys)
 
     def test_angular_multiplicities(self):
